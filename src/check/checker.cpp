@@ -193,7 +193,7 @@ std::exception_ptr Checker::run_end(bool aborted) {
                     dead_[static_cast<std::size_t>(dst)].load() != 0)) {
         continue;
       }
-      if (count > 0) leaks.emplace_back(key, count);
+      if (count > 0) leaks.emplace_back(key, static_cast<std::uint64_t>(count));
     }
   }
   if (leaks.empty()) return nullptr;
@@ -286,16 +286,19 @@ void Checker::on_send(int rank, int dst, int tag, std::size_t /*bytes*/) {
   beat();
   msgs_tracked_.fetch_add(1, std::memory_order_relaxed);
   std::scoped_lock lk(msg_mu_);
-  ++in_flight_[{rank, dst, tag}];
+  const auto it = in_flight_.try_emplace({rank, dst, tag}, 0).first;
+  if (++it->second == 0) in_flight_.erase(it);
 }
 
 void Checker::on_recv(int rank, int src, int tag, std::size_t /*bytes*/) {
   beat();
   std::scoped_lock lk(msg_mu_);
-  const auto it = in_flight_.find({src, rank, tag});
-  // The mailbox only delivers messages that were pushed (after on_send),
-  // so the channel entry always exists with a positive count.
-  if (it != in_flight_.end() && --it->second == 0) in_flight_.erase(it);
+  // A mailbox message is always sent (on_send) before it is received, but
+  // the allgather's modeled messages are booked by each side on its own
+  // thread, so the receive may come first and leave a negative count that
+  // its send cancels.
+  const auto it = in_flight_.try_emplace({src, rank, tag}, 0).first;
+  if (--it->second == 0) in_flight_.erase(it);
 }
 
 // -- one-sided windows ------------------------------------------------------

@@ -253,8 +253,10 @@ class Checker final : public simmpi::CheckHook {
   std::unordered_map<int, WinCheck> wins_;
 
   // Point-to-point accounting: key(src, dst) x tag -> in-flight count.
+  // Signed: the allgather's modeled messages are reported by sender and
+  // receiver independently, so a receive may be counted first.
   std::mutex msg_mu_;
-  std::map<std::tuple<int, int, int>, std::uint64_t> in_flight_;
+  std::map<std::tuple<int, int, int>, std::int64_t> in_flight_;
 
   // Violation log.
   mutable std::mutex viol_mu_;

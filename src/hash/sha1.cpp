@@ -47,18 +47,22 @@ void Sha1::update(std::span<const std::uint8_t> data) noexcept {
 void Sha1::finish(std::span<std::uint8_t, kDigestBytes> digest) noexcept {
   const std::uint64_t bit_len = total_bytes_ * 8;
 
-  static constexpr std::uint8_t kPad = 0x80;
-  update(std::span<const std::uint8_t>{&kPad, 1});
-  static constexpr std::uint8_t kZero = 0x00;
-  while (buffered_ != 56) {
-    update(std::span<const std::uint8_t>{&kZero, 1});
+  // Padding is written straight into the block buffer: 0x80, zero fill up
+  // to byte 56, then the big-endian bit length.  With fewer than 9 bytes
+  // left in the buffered block the padding spills into a second block.
+  const kernels::Sha1BlocksFn compress = kernels::dispatch().sha1_blocks;
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > kBlockBytes - 8) {
+    std::memset(buffer_.data() + buffered_, 0, kBlockBytes - buffered_);
+    compress(state_.data(), buffer_.data(), 1);
+    buffered_ = 0;
   }
-
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  std::memset(buffer_.data() + buffered_, 0, kBlockBytes - 8 - buffered_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[kBlockBytes - 8 + i] =
+        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>{len_bytes, 8});
+  compress(state_.data(), buffer_.data(), 1);
 
   for (int i = 0; i < 5; ++i) {
     digest[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);

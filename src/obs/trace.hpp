@@ -107,7 +107,7 @@ class TraceRecorder {
       return;
     }
     ring_[head_] = ev;
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_) head_ = 0;
     ++dropped_;
   }
 

@@ -48,6 +48,25 @@ struct is_map_like<std::map<K, V, C, A>> : std::true_type {};
 template <class K, class V, class H, class E, class A>
 struct is_map_like<std::unordered_map<K, V, H, E, A>> : std::true_type {};
 
+// Lower bound on the encoded size of one T, used to reject element counts
+// that the remaining input cannot possibly hold before anything is
+// allocated from them.  0 means "unknown" (user types with their own
+// load()), which disables the check for that element type.
+template <class T>
+[[nodiscard]] constexpr std::size_t min_encoded_size() noexcept {
+  if constexpr (AdlLoadable<T>) {
+    return 0;
+  } else if constexpr (is_std_vector<T>::value || is_map_like<T>::value ||
+                       std::is_same_v<T, std::string>) {
+    return sizeof(std::uint64_t);  // the size prefix
+  } else if constexpr (is_std_pair<T>::value) {
+    return min_encoded_size<typename T::first_type>() +
+           min_encoded_size<typename T::second_type>();
+  } else {
+    return sizeof(T);
+  }
+}
+
 }  // namespace detail
 
 class OArchive {
@@ -133,9 +152,10 @@ class IArchive {
       : data_(data) {}
 
   void read_raw(void* out, std::size_t n) {
-    if (pos_ + n > data_.size()) {
+    if (n > data_.size() - pos_) {
       throw std::runtime_error("IArchive: read past end of buffer");
     }
+    if (n == 0) return;  // `out` may be an empty vector's null data()
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
   }
@@ -145,13 +165,15 @@ class IArchive {
     if constexpr (detail::AdlLoadable<T>) {
       load(*this, value);
     } else if constexpr (detail::is_std_vector<T>::value) {
-      const std::size_t n = get_size();
+      const std::size_t n = get_count<typename T::value_type>();
       value.clear();
       if constexpr (std::is_trivially_copyable_v<typename T::value_type>) {
         value.resize(n);
         read_raw(value.data(), n * sizeof(typename T::value_type));
       } else {
-        value.reserve(n);
+        if constexpr (detail::min_encoded_size<typename T::value_type>() > 0) {
+          value.reserve(n);
+        }
         for (std::size_t i = 0; i < n; ++i) {
           typename T::value_type e;
           get(e);
@@ -159,14 +181,15 @@ class IArchive {
         }
       }
     } else if constexpr (std::is_same_v<T, std::string>) {
-      const std::size_t n = get_size();
+      const std::size_t n = get_count<char>();
       value.resize(n);
       read_raw(value.data(), n);
     } else if constexpr (detail::is_std_pair<T>::value) {
       get(value.first);
       get(value.second);
     } else if constexpr (detail::is_map_like<T>::value) {
-      const std::size_t n = get_size();
+      const std::size_t n = get_count<std::pair<typename T::key_type,
+                                                typename T::mapped_type>>();
       value.clear();
       for (std::size_t i = 0; i < n; ++i) {
         typename T::key_type k;
@@ -193,6 +216,19 @@ class IArchive {
     std::uint64_t v = 0;
     read_raw(&v, sizeof v);
     return static_cast<std::size_t>(v);
+  }
+
+  // Element count of a container of E.  The bytes are untrusted: a count
+  // whose elements cannot fit in the rest of the buffer throws before the
+  // caller sizes an allocation from it.
+  template <class E>
+  [[nodiscard]] std::size_t get_count() {
+    const std::size_t n = get_size();
+    constexpr std::size_t kMin = detail::min_encoded_size<E>();
+    if (kMin > 0 && n > remaining() / kMin) {
+      throw std::runtime_error("IArchive: element count exceeds buffer");
+    }
+    return n;
   }
 
   [[nodiscard]] std::uint64_t get_varint() {

@@ -119,9 +119,10 @@ class CheckHook {
   // Matching exit; called from scope destructors, must not throw.
   virtual void on_collective_done(int rank) noexcept = 0;
 
-  // Point-to-point accounting.  on_send runs before the message is
-  // enqueued and on_recv after it is dequeued, so the send of a message
-  // is always observed before its receive.
+  // Point-to-point accounting.  For mailbox messages on_send runs before
+  // the message is enqueued and on_recv after it is dequeued.  The
+  // allgather's modeled ring messages are booked by the sending and the
+  // receiving rank independently, so their receive may be observed first.
   virtual void on_send(int rank, int dst, int tag, std::size_t bytes) = 0;
   virtual void on_recv(int rank, int src, int tag, std::size_t bytes) = 0;
 

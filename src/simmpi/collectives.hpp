@@ -3,8 +3,9 @@
 // Shapes follow the classic MPI implementations the paper relies on:
 // binomial-tree reduce + binomial-tree broadcast (so ALLREDUCE of the
 // HMERGE operator is logarithmic in the number of processes, §III-B), and
-// ring allgather.  User-defined reduction operators receive
-// (accumulated, incoming) and may charge compute time via Comm::charge.
+// ring allgather (a modeled schedule, see allgather()).  User-defined
+// reduction operators receive (accumulated, incoming) and may charge
+// compute time via Comm::charge.
 #pragma once
 
 #include <functional>
@@ -261,6 +262,10 @@ T scatter(Comm& comm, const std::vector<T>& values, int root = 0,
 
 // Ring allgather: N-1 steps, each rank forwards the block it received in
 // the previous step.  Returns the vector of all ranks' values by rank.
+// The ring is modeled, not run: the host does one rendezvous in which each
+// rank deposits its serialized value, and the ring's send/recv schedule is
+// replayed on the sim clocks, CommStats and trace exactly as the n(n-1)
+// messages would have charged them (detail::allgather_blocks).
 template <class T>
 std::vector<T> allgather(Comm& comm, const T& value,
                          std::source_location loc =
@@ -273,14 +278,13 @@ std::vector<T> allgather(Comm& comm, const T& value,
   const int r = comm.rank();
   std::vector<T> out(static_cast<std::size_t>(n));
   out[static_cast<std::size_t>(r)] = value;
-  T current = value;
-  for (int step = 0; step < n - 1; ++step) {
-    const int dst = (r + 1) % n;
-    const int src = (r - 1 + n) % n;
-    comm.send_value(dst, tags::kAllgather + step, current);
-    current = comm.recv_value<T>(src, tags::kAllgather + step);
-    const int origin = ((r - 1 - step) % n + n) % n;
-    out[static_cast<std::size_t>(origin)] = current;
+  if (n > 1) {
+    const auto& round =
+        detail::allgather_blocks(comm, tags::kAllgather, to_bytes(value));
+    for (int i = 0; i < n; ++i) {
+      if (i == r) continue;
+      out[static_cast<std::size_t>(i)] = from_bytes<T>(round.block(i));
+    }
   }
   comm.fault_point("coll.post");
   return out;

@@ -72,6 +72,130 @@ std::vector<std::uint8_t> Comm::recv_bytes(int src, int tag) {
   return std::move(msg.payload);
 }
 
+void Comm::book_ring_steps(int tag_base, int sends, int recvs,
+                           std::span<const std::uint64_t> block_bytes,
+                           int self, std::span<const double> send_ts,
+                           std::span<const double> recv_ts,
+                           std::uint64_t pred_flow_seq) {
+  const std::uint64_t first_seq = flow_seq_;
+  flow_seq_ += static_cast<std::uint64_t>(sends);
+  if (!check_ && !obs_) return;
+  const int n = size();
+  const int wdst = group_[static_cast<std::size_t>((crank_ + 1) % n)];
+  const int wsrc = group_[static_cast<std::size_t>((crank_ - 1 + n) % n)];
+  // Size of the block that started j ring positions behind this rank.
+  const auto behind = [&](int j) {
+    const int p = self - j;
+    return block_bytes[static_cast<std::size_t>(
+        p >= 0 ? p : p + static_cast<int>(block_bytes.size()))];
+  };
+  const int steps = std::max(sends, recvs);
+  if (check_) {
+    for (int s = 0; s < steps; ++s) {
+      if (s < sends) check_->on_send(rank_, wdst, tag_base + s, behind(s));
+      if (s < recvs) check_->on_recv(rank_, wsrc, tag_base + s, behind(s + 1));
+    }
+  }
+  if (!obs_) return;
+  const auto flow_id = [](int w, std::uint64_t seq) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(w)) << 32) |
+           static_cast<std::uint32_t>(seq);
+  };
+  auto& cs = obs_->comm;
+  // The step tags are consecutive, so the per-tag counters are one ordered
+  // walk through the map rather than a lookup per step.
+  auto per_tag = cs.sent_by_tag.lower_bound(tag_base);
+  std::uint64_t sent_bytes = 0;
+  std::uint64_t recv_bytes = 0;
+  for (int s = 0; s < steps; ++s) {
+    const auto us = static_cast<std::size_t>(s);
+    if (s < sends) {
+      const int tag = tag_base + s;
+      const std::uint64_t b = behind(s);
+      sent_bytes += b;
+      if (per_tag == cs.sent_by_tag.end() || per_tag->first != tag) {
+        per_tag =
+            cs.sent_by_tag.emplace_hint(per_tag, tag, obs::TagTraffic{});
+      }
+      ++per_tag->second.messages;
+      per_tag->second.bytes += b;
+      ++per_tag;
+      obs_->event(obs::EventKind::kSend, send_ts[us], "send", b,
+                  static_cast<std::uint64_t>(wdst),
+                  flow_id(rank_, first_seq + us));
+    }
+    if (s < recvs) {
+      const std::uint64_t b = behind(s + 1);
+      recv_bytes += b;
+      obs_->event(obs::EventKind::kRecv, recv_ts[us], "recv", b,
+                  static_cast<std::uint64_t>(wsrc),
+                  flow_id(wsrc, pred_flow_seq + us));
+    }
+  }
+  cs.sent_messages += static_cast<std::uint64_t>(sends);
+  cs.sent_bytes += sent_bytes;
+  (cluster().same_node(rank_, wdst) ? cs.intra_node_sent_bytes
+                                    : cs.inter_node_sent_bytes) += sent_bytes;
+  cs.recv_messages += static_cast<std::uint64_t>(recvs);
+  cs.recv_bytes += recv_bytes;
+}
+
+namespace detail {
+
+const GatherRound& allgather_blocks(Comm& comm, int tag_base,
+                                    std::span<const std::uint8_t> block) {
+  const int n = comm.size();
+  const int pos = comm.crank_;
+  const int steps = n - 1;
+  auto out = comm.state_->gather(pos, comm.group_, comm.known_deaths_,
+                                 comm.clock_.now(), comm.flow_seq_, block);
+  if (out.round) {
+    const GatherRound& res = *out.round;
+    std::span<const double> send_ts;
+    std::span<const double> recv_ts;
+    if (!res.times.send_ts.empty()) {
+      const auto row = static_cast<std::size_t>(pos) *
+                       static_cast<std::size_t>(steps);
+      send_ts = std::span(res.times.send_ts).subspan(
+          row, static_cast<std::size_t>(steps));
+      recv_ts = std::span(res.times.recv_ts).subspan(
+          row, static_cast<std::size_t>(steps));
+    }
+    comm.book_ring_steps(
+        tag_base, steps, steps, res.ring.block_bytes, pos, send_ts, recv_ts,
+        res.ring.flow_seq[static_cast<std::size_t>((pos - 1 + n) % n)]);
+    comm.clock_.at_least(res.times.exit[static_cast<std::size_t>(pos)]);
+    return res;
+  }
+  // The ring stalls behind a rank that can never send: replay the k-rank
+  // chain from that rank's successor up to this one (its last position),
+  // book the k sends and k - 1 receives this rank completed, and fail like
+  // its next receive would.
+  const RingChain& chain = out.chain;
+  const int k = static_cast<int>(chain.world.size());
+  RingTimes times;
+  replay_ring(comm.cluster(), chain, n, /*closed=*/false,
+              /*record=*/comm.obs_ != nullptr, times);
+  std::span<const double> send_ts;
+  std::span<const double> recv_ts;
+  if (!times.send_ts.empty()) {
+    const auto row =
+        static_cast<std::size_t>(k - 1) * static_cast<std::size_t>(steps);
+    send_ts = std::span(times.send_ts).subspan(row,
+                                               static_cast<std::size_t>(steps));
+    recv_ts = std::span(times.recv_ts).subspan(row,
+                                               static_cast<std::size_t>(steps));
+  }
+  comm.book_ring_steps(
+      tag_base, k, k - 1, chain.block_bytes, k - 1, send_ts, recv_ts,
+      k >= 2 ? chain.flow_seq[static_cast<std::size_t>(k - 2)] : 0);
+  comm.clock_.at_least(times.exit[static_cast<std::size_t>(k - 1)]);
+  comm.fail_pending_ = true;
+  throw RankDeadError{};
+}
+
+}  // namespace detail
+
 void Comm::barrier(std::source_location loc) {
   raise_pending_failure();
   check_collective(CollFingerprint{.op = CollOp::kBarrier}, loc);
@@ -153,10 +277,16 @@ Window Comm::win_create(std::size_t local_bytes, std::source_location loc) {
   check_collective(CollFingerprint{.op = CollOp::kWinCreate, .root = id}, loc);
   if (check_) check_->on_win_create(rank_, id, local_bytes);
   if (obs_) ++obs_->comm.windows_created;
-  state_->window_register(rank_, id, local_bytes);
+  auto& ws = state_->window_register(rank_, id, local_bytes);
   barrier();  // all regions allocated before any put
   check_collective_done();
-  return Window(*this, id);
+  return Window(*this, id, ws);
+}
+
+Window::Window(Comm& comm, int id, detail::WindowState& ws)
+    : comm_(&comm), id_(id), ws_(&ws) {
+  tally_.inter_in.assign(ws.node_inter_recv.size(), 0);
+  tally_.rank_recv.assign(ws.rank_recv.size(), 0);
 }
 
 void Window::put(int target, std::size_t offset,
@@ -164,7 +294,7 @@ void Window::put(int target, std::size_t offset,
                  std::uint64_t modeled_bytes, std::source_location loc) {
   if (!comm_) throw std::logic_error("simmpi: put on invalid window");
   if (modeled_bytes == 0) modeled_bytes = data.size();
-  auto& ws = comm_->state_->window(id_);
+  auto& ws = *ws_;
   if (target < 0 || target >= comm_->size()) {
     throw std::out_of_range("simmpi: put to invalid rank");
   }
@@ -184,17 +314,18 @@ void Window::put(int target, std::size_t offset,
   const auto& cl = comm_->cluster();
   const int src_node = cl.node_of(comm_->world_rank());
   const int dst_node = cl.node_of(wtarget);
-  {
-    std::scoped_lock lk(ws.acct_mu);
-    if (src_node == dst_node) {
-      ws.node_intra[static_cast<std::size_t>(src_node)] += modeled_bytes;
-    } else {
-      ws.node_inter_sent[static_cast<std::size_t>(src_node)] += modeled_bytes;
-      ws.node_inter_recv[static_cast<std::size_t>(dst_node)] += modeled_bytes;
-    }
-    ws.rank_recv[static_cast<std::size_t>(wtarget)] += modeled_bytes;
-    ws.last_put_issue = std::max(ws.last_put_issue, comm_->clock().now());
+  if (src_node == dst_node) {
+    tally_.intra += modeled_bytes;
+  } else {
+    tally_.inter_out += modeled_bytes;
+    tally_.inter_in[static_cast<std::size_t>(dst_node)] += modeled_bytes;
   }
+  auto& recv = tally_.rank_recv[static_cast<std::size_t>(wtarget)];
+  if (recv == 0 && modeled_bytes > 0) tally_.targets.push_back(wtarget);
+  recv += modeled_bytes;
+  tally_.last_put_issue =
+      std::max(tally_.last_put_issue, comm_->clock().now());
+  tally_.any = true;
   comm_->epoch_bytes_put_ += modeled_bytes;
   if (auto* t = comm_->obs_) {
     auto& cs = t->comm;
@@ -210,14 +341,41 @@ void Window::put(int target, std::size_t offset,
 
 std::span<std::uint8_t> Window::local() {
   if (!comm_) throw std::logic_error("simmpi: local() on invalid window");
-  auto& ws = comm_->state_->window(id_);
-  return ws.buffers[static_cast<std::size_t>(comm_->world_rank())];
+  return ws_->buffers[static_cast<std::size_t>(comm_->world_rank())];
 }
 
 std::span<const std::uint8_t> Window::local() const {
   if (!comm_) throw std::logic_error("simmpi: local() on invalid window");
-  auto& ws = comm_->state_->window(id_);
-  return ws.buffers[static_cast<std::size_t>(comm_->world_rank())];
+  return ws_->buffers[static_cast<std::size_t>(comm_->world_rank())];
+}
+
+void Window::fold_epoch() {
+  if (!tally_.any) return;
+  auto& ws = *ws_;
+  const std::size_t src_node = static_cast<std::size_t>(
+      comm_->cluster().node_of(comm_->world_rank()));
+  {
+    std::scoped_lock lk(ws.acct_mu);
+    ws.node_intra[src_node] += tally_.intra;
+    ws.node_inter_sent[src_node] += tally_.inter_out;
+    for (std::size_t n = 0; n < tally_.inter_in.size(); ++n) {
+      ws.node_inter_recv[n] += tally_.inter_in[n];
+    }
+    for (const int t : tally_.targets) {
+      ws.rank_recv[static_cast<std::size_t>(t)] +=
+          tally_.rank_recv[static_cast<std::size_t>(t)];
+    }
+    ws.last_put_issue = std::max(ws.last_put_issue, tally_.last_put_issue);
+  }
+  tally_.intra = 0;
+  tally_.inter_out = 0;
+  std::fill(tally_.inter_in.begin(), tally_.inter_in.end(), 0);
+  for (const int t : tally_.targets) {
+    tally_.rank_recv[static_cast<std::size_t>(t)] = 0;
+  }
+  tally_.targets.clear();
+  tally_.last_put_issue = 0.0;
+  tally_.any = false;
 }
 
 void Window::fence(unsigned flags, std::source_location loc) {
@@ -227,13 +385,16 @@ void Window::fence(unsigned flags, std::source_location loc) {
       CollFingerprint{.op = CollOp::kWinFence, .root = id_, .flags = flags},
       loc);
   comm_->fault_point("win.fence");
-  auto& ws = comm_->state_->window(id_);
+  auto& ws = *ws_;
   const auto& cl = comm_->cluster();
   const std::uint64_t gen = comm_->sync_seq_++;
   if (auto* t = comm_->obs_) {
     t->event(obs::EventKind::kSyncBegin, comm_->clock().now(), "fence",
              comm_->epoch_bytes_put_, static_cast<std::uint64_t>(id_), gen);
   }
+  // This rank's puts join the epoch's shared accounting before the
+  // rendezvous; the release closure below reads the totals.
+  fold_epoch();
   RunState::SyncResult sr;
   try {
     // The release closure captures only window/cluster state, never the
@@ -311,6 +472,10 @@ void Window::release() {
     // Release runs from destructors during unwinding; never propagate.
   }
   try {
+    // Puts of a still-open epoch count toward the fence the other ranks
+    // complete without this one — also when this rank is unwinding from
+    // its own death, which is published only after its stack is gone.
+    fold_epoch();
     // Always record this rank's release so the runtime can reclaim the
     // window once every rank has freed it or died.
     if (auto* ck = comm_->check_) ck->on_win_free(comm_->rank_, id_);
@@ -319,6 +484,7 @@ void Window::release() {
   }
   comm_ = nullptr;
   id_ = -1;
+  ws_ = nullptr;
 }
 
 }  // namespace collrep::simmpi

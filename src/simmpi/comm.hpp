@@ -27,7 +27,22 @@
 
 namespace collrep::simmpi {
 
+class Comm;
 class Window;
+
+namespace detail {
+// The rendezvous step of simmpi::allgather (collectives.hpp), not a
+// collective of its own: deposits this rank's serialized value (`block`)
+// and returns the completed round, whose block(r) is dense rank r's value
+// until this rank's next allgather.  Leaves this rank's clock, CommStats,
+// trace and checker exactly where the modeled ring's n - 1 send/recv
+// steps on tags `tag_base + step` would have.  If the ring would have
+// stalled behind a dead or shrinking rank, books the steps it would have
+// completed and throws RankDeadError.  Requires a group of at least two
+// ranks.
+[[nodiscard]] const GatherRound& allgather_blocks(
+    Comm& comm, int tag_base, std::span<const std::uint8_t> block);
+}  // namespace detail
 
 class Comm {
  public:
@@ -174,6 +189,22 @@ class Comm {
 
  private:
   friend class Window;
+  friend const detail::GatherRound& detail::allgather_blocks(
+      Comm& comm, int tag_base, std::span<const std::uint8_t> block);
+
+  // Books this rank's side of the modeled ring allgather into CommStats,
+  // the trace and the checker: the first `sends` sends and `recvs`
+  // receives on tags tag_base + step.  block_bytes holds the block sizes
+  // by ring position and `self` is this rank's position in it; step s
+  // sends the block that started s positions behind this rank and
+  // receives the one s + 1 behind.  send_ts/recv_ts hold the replayed
+  // clock after each step (read only with telemetry attached);
+  // pred_flow_seq is the predecessor's first flow sequence.
+  void book_ring_steps(int tag_base, int sends, int recvs,
+                       std::span<const std::uint64_t> block_bytes, int self,
+                       std::span<const double> send_ts,
+                       std::span<const double> recv_ts,
+                       std::uint64_t pred_flow_seq);
 
   // Collective entry gate: a death observed once must not be lost to an
   // exception swallowed in a destructor (Window::release), so it re-arms
@@ -213,7 +244,7 @@ class Comm {
 class Window {
  public:
   Window() = default;
-  Window(Comm& comm, int id) : comm_(&comm), id_(id) {}
+  Window(Comm& comm, int id, detail::WindowState& ws);
   Window(Window&& o) noexcept { swap(o); }
   Window& operator=(Window&& o) noexcept {
     if (this != &o) {
@@ -256,14 +287,32 @@ class Window {
   void free() { release(); }
 
  private:
+  // This rank's puts in the open epoch.  Kept per rank so a put takes no
+  // shared lock; fold_epoch() adds them into the shared WindowState once,
+  // before the fence rendezvous or at release.
+  struct EpochTally {
+    std::uint64_t intra = 0;      // bytes to targets on this rank's node
+    std::uint64_t inter_out = 0;  // bytes leaving this rank's node
+    std::vector<std::uint64_t> inter_in;   // by destination node
+    std::vector<std::uint64_t> rank_recv;  // by target world rank
+    std::vector<int> targets;  // world ranks with nonzero rank_recv
+    double last_put_issue = 0.0;
+    bool any = false;  // a put was issued since the last fold
+  };
+
   void release();
+  void fold_epoch();
   void swap(Window& o) noexcept {
     std::swap(comm_, o.comm_);
     std::swap(id_, o.id_);
+    std::swap(ws_, o.ws_);
+    std::swap(tally_, o.tally_);
   }
 
   Comm* comm_ = nullptr;
   int id_ = -1;
+  detail::WindowState* ws_ = nullptr;  // valid until every rank released
+  EpochTally tally_;
 };
 
 }  // namespace collrep::simmpi

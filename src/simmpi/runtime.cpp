@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <thread>
 
 #include "obs/telemetry.hpp"
@@ -55,11 +56,66 @@ void Mailbox::drain() {
   queues_.clear();
 }
 
+void replay_ring(const sim::ClusterConfig& cluster, const RingChain& chain,
+                 int n, bool closed, bool record, RingTimes& t) {
+  const auto m = chain.world.size();
+  const auto steps = static_cast<std::size_t>(n - 1);
+  t.send_ts.assign(record ? m * steps : 0, 0.0);
+  t.recv_ts.assign(record ? m * steps : 0, 0.0);
+  // The per-message terms of Comm::send_bytes / recv_bytes, computed once:
+  // copy[o] is block o's copy-out/copy-in time (bytes / mem_bandwidth),
+  // wire[i] the flight time of each block position i sends
+  // (ClusterConfig::message_time: latency + bytes / link bandwidth).
+  std::vector<double> copy(m);
+  std::vector<double> wire_mem(m);
+  std::vector<double> wire_net(m);
+  std::vector<std::uint8_t> intra(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto b = static_cast<double>(chain.block_bytes[i]);
+    copy[i] = b / cluster.mem_bandwidth_bps;
+    wire_mem[i] = cluster.net_latency_s + b / cluster.mem_bandwidth_bps;
+    wire_net[i] = cluster.net_latency_s + b / cluster.net_bandwidth_bps;
+    intra[i] = cluster.same_node(chain.world[i], chain.dst_world[i]) ? 1 : 0;
+  }
+  std::vector<sim::SimClock> clk(m);
+  for (std::size_t i = 0; i < m; ++i) clk[i].reset(chain.clock[i]);
+  std::vector<double> arrival(m, 0.0);
+  for (std::size_t s = 0; s < steps; ++s) {
+    // Position i forwards the block of origin i - s: in a closed ring the
+    // origin wraps, in a chain position i sends only while s <= i.
+    std::size_t first = closed ? 0 : s;
+    std::size_t origin = closed ? (m - s) % m : 0;
+    for (std::size_t i = first; i < m; ++i) {
+      clk[i].advance(copy[origin]);
+      if (record) t.send_ts[i * steps + s] = clk[i].now();
+      arrival[i] =
+          clk[i].now() + (intra[i] ? wire_mem[origin] : wire_net[origin]);
+      if (++origin == m) origin = 0;
+    }
+    // Position i receives the block of origin i - 1 - s from i - 1; in a
+    // chain only while s < i.
+    first = closed ? 0 : s + 1;
+    origin = closed ? m - 1 - s : 0;
+    for (std::size_t i = first; i < m; ++i) {
+      const std::size_t src = i == 0 ? m - 1 : i - 1;
+      clk[i].at_least(arrival[src]);
+      clk[i].advance(copy[origin]);
+      if (record) t.recv_ts[i * steps + s] = clk[i].now();
+      if (++origin == m) origin = 0;
+    }
+  }
+  t.exit.clear();
+  for (const auto& c : clk) t.exit.push_back(c.now());
+}
+
 }  // namespace detail
 
 RunState::RunState(int nranks, RuntimeOptions opts)
     : nranks_(nranks), opts_(std::move(opts)), live_count_(nranks) {
   if (nranks < 1) throw std::invalid_argument("simmpi: nranks must be >= 1");
+  for (auto& round : gather_rounds_) {
+    round.slots.resize(static_cast<std::size_t>(nranks));
+  }
   mailboxes_.reserve(static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) {
     mailboxes_.push_back(std::make_unique<detail::Mailbox>());
@@ -80,6 +136,12 @@ void RunState::abort() noexcept {
 void RunState::wake_blocked_ranks() {
   for (auto& mb : mailboxes_) mb->notify_state_change();
   sync_cv_.notify_all();
+  wake_gather_waiters();
+}
+
+void RunState::wake_gather_waiters() {
+  gather_wake_.fetch_add(1);
+  gather_wake_.notify_all();
 }
 
 double RunState::rendezvous_cost(int participants) const noexcept {
@@ -182,16 +244,15 @@ RunState::ShrinkResult RunState::shrink_rendezvous(int rank, double my_time) {
   ++parked_count_;
   shrink_max_ = std::max(shrink_max_, my_time);
   const std::uint64_t gen = shrink_gen_;
-  const bool first_parker = !revoked_.load();
-  if (first_parker) revoked_.store(true);
-  if (first_parker || parked_count_ == live_count_) {
-    // Wake stragglers blocked in sync()/pop() so they observe the revoke
-    // (first parker), and re-check completion once we ourselves parked.
-    lk.unlock();
-    wake_blocked_ranks();
-    lk.lock();
-    maybe_complete_shrink_locked();
-  }
+  revoked_.store(true);
+  // Wake stragglers blocked in sync()/pop()/gather() so they observe the
+  // revoke and this rank's parking (a receive from this rank, or an
+  // allgather stalled behind it, can only fail once it is parked), then
+  // re-check completion.
+  lk.unlock();
+  wake_blocked_ranks();
+  lk.lock();
+  maybe_complete_shrink_locked();
   // Scheduler-internal shrink parking (see above).  collcheck: fiber-safe
   sync_cv_.wait(lk, [&] { return shrink_gen_ != gen || aborted_.load(); });
   if (shrink_gen_ == gen) throw AbortedError{};
@@ -233,13 +294,128 @@ void RunState::maybe_complete_shrink_locked() {
   // waiter exists at this point (a waiter would not be parked), so
   // advancing the generation wakes nobody spuriously.
   res.sync_gen = sync_gen_++;
+  // Every allgather deposit of the old world is void; no survivor is
+  // inside gather() (it would not be parked).
+  gather_count_ = 0;
+  gather_gen_.fetch_add(1);
   shrink_result_ = std::move(res);
   revoked_.store(false);
   ++shrink_gen_;
   sync_cv_.notify_all();
 }
 
-void RunState::window_register(int rank, int id, std::size_t bytes) {
+RunState::GatherOutcome RunState::gather(int pos, const std::vector<int>& group,
+                                         std::uint64_t known_deaths,
+                                         double clock, std::uint64_t flow_seq,
+                                         std::span<const std::uint8_t> block) {
+  std::unique_lock lk(sync_mu_);
+  if (aborted_.load()) throw AbortedError{};
+  const std::uint64_t gen = gather_gen_.load();
+  detail::GatherRound& round = gather_rounds_[gen & 1u];
+  auto& slot = round.slots[static_cast<std::size_t>(
+      group[static_cast<std::size_t>(pos)])];
+  slot.gen = gen;
+  slot.clock = clock;
+  slot.flow_seq = flow_seq;
+  slot.block.assign(block.begin(), block.end());
+  if (++gather_count_ == static_cast<int>(group.size())) {
+    complete_gather_locked(group);
+    return GatherOutcome{&round, {}};
+  }
+  // A predecessor that will never deposit (dead, or parked in a shrink)
+  // stalls the ring; only then can the chain behind it resolve early, and
+  // only then can this deposit be what a waiting successor needs.
+  const auto failure_pending = [&] {
+    return revoked_.load() || death_count_ > known_deaths;
+  };
+  if (failure_pending()) wake_gather_waiters();
+  int k = 0;
+  for (;;) {
+    // Read the wake count before the checks: an event after them bumps it,
+    // so the wait below cannot miss it.
+    const std::uint32_t seen = gather_wake_.load();
+    if (gather_gen_.load() != gen) return GatherOutcome{&round, {}};
+    if (aborted_.load()) throw AbortedError{};
+    if (failure_pending()) k = gather_stall_locked(group, pos, gen);
+    if (k > 0) break;
+    lk.unlock();
+    // Scheduler-internal allgather parking (replaced wholesale by the fiber
+    // port).  collcheck: fiber-safe
+    gather_wake_.wait(seen);
+    // The common wake-up: the round completed.  Return without the lock,
+    // so the woken ranks do not queue on it.
+    if (gather_gen_.load() != gen) return GatherOutcome{&round, {}};
+    lk.lock();
+  }
+  // The k ranks from the stalled predecessor's successor up to the caller
+  // all deposited; hand back their inputs for the partial replay.
+  const int n = static_cast<int>(group.size());
+  GatherOutcome out;
+  auto& ch = out.chain;
+  for (int c = 0; c < k; ++c) {
+    const int p = (pos - (k - 1) + c + n) % n;
+    const int w = group[static_cast<std::size_t>(p)];
+    const auto& sl = round.slots[static_cast<std::size_t>(w)];
+    ch.world.push_back(w);
+    ch.dst_world.push_back(group[static_cast<std::size_t>((p + 1) % n)]);
+    ch.clock.push_back(sl.clock);
+    ch.block_bytes.push_back(sl.block.size());
+    ch.flow_seq.push_back(sl.flow_seq);
+  }
+  return out;
+}
+
+int RunState::gather_stall_locked(const std::vector<int>& group, int pos,
+                                  std::uint64_t gen) const {
+  const int n = static_cast<int>(group.size());
+  for (int k = 1; k < n; ++k) {
+    const int w = group[static_cast<std::size_t>((pos - k + n) % n)];
+    if (gather_rounds_[gen & 1u].slots[static_cast<std::size_t>(w)].gen ==
+        gen) {
+      continue;
+    }
+    // The nearest predecessor that has not deposited: the ring stalls
+    // behind it exactly when it can no longer send (Mailbox::pop's rule).
+    const std::uint8_t st = member_status(w);
+    const bool never = st == detail::kMemberDead ||
+                       (st == detail::kMemberParked && revoked_.load());
+    return never ? k : 0;
+  }
+  return 0;
+}
+
+void RunState::complete_gather_locked(const std::vector<int>& group) {
+  const int n = static_cast<int>(group.size());
+  const std::uint64_t gen = gather_gen_.load();
+  detail::GatherRound& round = gather_rounds_[gen & 1u];
+  detail::RingChain& ring = round.ring;
+  ring.world.assign(group.begin(), group.end());
+  ring.dst_world.clear();
+  ring.clock.clear();
+  ring.block_bytes.clear();
+  ring.flow_seq.clear();
+  for (int i = 0; i < n; ++i) {
+    const int w = group[static_cast<std::size_t>(i)];
+    const auto& slot = round.slots[static_cast<std::size_t>(w)];
+    if (slot.gen != gen) {
+      throw std::logic_error("simmpi: allgather slot of rank " +
+                             std::to_string(w) + " was not filled");
+    }
+    ring.dst_world.push_back(group[static_cast<std::size_t>((i + 1) % n)]);
+    ring.clock.push_back(slot.clock);
+    ring.block_bytes.push_back(slot.block.size());
+    ring.flow_seq.push_back(slot.flow_seq);
+  }
+  // Per-step clocks are needed only to stamp the trace's send/recv events.
+  detail::replay_ring(opts_.cluster, ring, n, /*closed=*/true,
+                      /*record=*/opts_.telemetry != nullptr, round.times);
+  gather_count_ = 0;
+  gather_gen_.fetch_add(1);  // publishes the round to lock-free readers
+  wake_gather_waiters();
+}
+
+detail::WindowState& RunState::window_register(int rank, int id,
+                                               std::size_t bytes) {
   std::scoped_lock lk(win_mu_);
   if (static_cast<std::size_t>(id) >= windows_.size()) {
     windows_.resize(static_cast<std::size_t>(id) + 1);
@@ -250,13 +426,7 @@ void RunState::window_register(int rank, int id, std::size_t bytes) {
         nranks_, opts_.cluster.node_count(nranks_));
   }
   slot->buffers[static_cast<std::size_t>(rank)].assign(bytes, 0);
-}
-
-detail::WindowState& RunState::window(int id) {
-  std::scoped_lock lk(win_mu_);
-  auto& ws = windows_.at(static_cast<std::size_t>(id));
-  if (!ws) throw std::logic_error("simmpi: window already freed");
-  return *ws;
+  return *slot;
 }
 
 void RunState::window_free(int rank, int id) {

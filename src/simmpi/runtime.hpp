@@ -17,6 +17,7 @@
 // smaller world (see DESIGN.md §12).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -200,6 +201,66 @@ struct WindowState {
   std::vector<std::uint8_t> freed;
 };
 
+// One rank's deposit in the allgather rendezvous (RunState::gather).
+struct GatherSlot {
+  // Rendezvous generation the slot was filled in; a slot stamped with an
+  // older generation belongs to a rank that has not arrived.
+  std::uint64_t gen = ~0ull;
+  double clock = 0.0;          // entry clock
+  std::uint64_t flow_seq = 0;  // the rank's next Message::flow sequence
+  std::vector<std::uint8_t> block;  // serialized value
+};
+
+// Inputs of the modeled ring allgather schedule over consecutive ring
+// positions (see replay_ring).  Position i sends to dst_world[i] and
+// receives from position i - 1.
+struct RingChain {
+  std::vector<int> world;      // world rank per position
+  std::vector<int> dst_world;  // world rank position i sends to
+  std::vector<double> clock;   // entry clock per position
+  std::vector<std::uint64_t> block_bytes;  // serialized size per position
+  std::vector<std::uint64_t> flow_seq;     // entry flow sequence per position
+};
+
+// Clocks of the replayed schedule: exit clock per position and, when
+// recorded, the clock after each send / receive, at [i * (n - 1) + step].
+struct RingTimes {
+  std::vector<double> exit;
+  std::vector<double> send_ts;
+  std::vector<double> recv_ts;
+};
+
+// Replays the modeled message schedule of the ring allgather over a group
+// of `n` ranks into `out`, with the operations, in the order, that
+// Comm::send_bytes and Comm::recv_bytes apply them: at step s position i
+// sends the block of origin i - s (advance by its copy-out, arrival =
+// clock + message_time), then receives the block of origin i - 1 - s
+// (at_least(arrival), advance by its copy-in).  With `closed` the chain
+// is the whole ring: every position runs all n - 1 steps and position 0
+// receives from position n - 1.  Otherwise the chain starts behind a
+// rank that never sends: position i completes min(i + 1, n - 1) sends
+// and i receives.
+void replay_ring(const sim::ClusterConfig& cluster, const RingChain& chain,
+                 int n, bool closed, bool record, RingTimes& out);
+
+// One allgather generation.  RunState keeps two and alternates by
+// generation parity: generation g + 2 can start only after every rank
+// arrived for g + 1, that is, after every rank finished reading round g.
+// So the buffers are reused in place, and each rank's block buffer is
+// only ever resized by its own thread.
+struct GatherRound {
+  std::vector<GatherSlot> slots;  // by world rank
+  // Replay inputs and clocks of the completed round, by dense group rank.
+  RingChain ring;
+  RingTimes times;
+
+  // Serialized value of dense group rank `r`.
+  [[nodiscard]] std::span<const std::uint8_t> block(int r) const {
+    const int w = ring.world[static_cast<std::size_t>(r)];
+    return slots[static_cast<std::size_t>(w)].block;
+  }
+};
+
 }  // namespace detail
 
 // Shared state of one SPMD run; owned by Runtime, referenced by Comms.
@@ -276,20 +337,49 @@ class RunState {
   };
   ShrinkResult shrink_rendezvous(int rank, double my_time);
 
+  // The allgather rendezvous behind simmpi::allgather.  Every member of
+  // `group` (world ranks in dense order; `pos` is the caller's index)
+  // deposits its serialized block, entry clock and next flow sequence; the
+  // last arriver replays the ring's modeled schedule once, and every
+  // member returns the completed round.  It stays valid until the
+  // caller's next gather().  No message moves on the host.
+  //
+  // When a predecessor in the ring can never deposit (it died, or it is
+  // parked in a shrink), the ring would have stalled behind it.  The
+  // caller then gets no round but `chain`: the inputs of the ranks from
+  // that predecessor's successor up to itself, whose partial schedule
+  // (replay_ring, open chain) is exactly what the ring would have run
+  // before its receive failed.  Throws AbortedError if the run aborts.
+  struct GatherOutcome {
+    const detail::GatherRound* round = nullptr;
+    detail::RingChain chain;  // filled when round is null
+  };
+  // `known_deaths` is the caller's agreed death count (Comm::shrink): any
+  // death beyond it is a group member that will never deposit.
+  GatherOutcome gather(int pos, const std::vector<int>& group,
+                       std::uint64_t known_deaths, double clock,
+                       std::uint64_t flow_seq,
+                       std::span<const std::uint8_t> block);
+
   // Windows.  Creation is collective: every rank registers the same id
   // (ids come from a per-rank counter that advances identically on all
   // ranks because win_create is collective) along with its region size.
-  void window_register(int rank, int id, std::size_t bytes);
-  detail::WindowState& window(int id);
+  // The returned state stays valid until every rank freed the window or
+  // died.
+  detail::WindowState& window_register(int rank, int id, std::size_t bytes);
   void window_free(int rank, int id);
 
   [[nodiscard]] double barrier_cost() const noexcept;
 
  private:
-  // Both require sync_mu_ held.
+  // All require sync_mu_ held.
   void complete_sync_locked();
   void maybe_complete_shrink_locked();
+  void complete_gather_locked(const std::vector<int>& group);
+  [[nodiscard]] int gather_stall_locked(const std::vector<int>& group,
+                                        int pos, std::uint64_t gen) const;
   void wake_blocked_ranks();
+  void wake_gather_waiters();
   void reclaim_dead_windows();
   [[nodiscard]] double rendezvous_cost(int participants) const noexcept;
 
@@ -321,6 +411,19 @@ class RunState {
   std::uint64_t shrink_epoch_ = 0;
   double shrink_max_ = 0.0;
   ShrinkResult shrink_result_;
+  // Allgather rendezvous state (guarded by sync_mu_, except that a
+  // completed round is read without it; see GatherRound).  The generation
+  // is separate from sync_gen_, which collprof's kSyncBegin/End ids follow.
+  // It is written under sync_mu_ but atomic, so a woken waiter can see its
+  // round complete without re-taking the lock: a condition variable would
+  // hand sync_mu_ from one of the n - 1 woken ranks to the next.
+  std::array<detail::GatherRound, 2> gather_rounds_;
+  std::atomic<std::uint64_t> gather_gen_{0};
+  int gather_count_ = 0;
+  // Bumped (and waited on) for every event a gather waiter must look at:
+  // completion, a death, a shrink parker, an abort, and a deposit while a
+  // failure is pending.
+  std::atomic<std::uint32_t> gather_wake_{0};
 
   std::mutex win_mu_;
   std::vector<std::unique_ptr<detail::WindowState>> windows_;

@@ -5,6 +5,7 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "chunk/manifest.hpp"
@@ -104,6 +105,24 @@ TEST(Archive, CorruptSizeThrows) {
   IArchive in(out.bytes());
   EXPECT_THROW((void)in.get<std::vector<std::uint64_t>>(),
                std::runtime_error);
+}
+
+// Element counts are checked against the remaining bytes before any
+// container is sized from them, for every container kind.
+TEST(Archive, CorruptCountsThrowBeforeAllocating) {
+  OArchive out;
+  out.put_size(std::uint64_t{1} << 40);
+  const auto bytes = out.bytes();
+  EXPECT_THROW((void)from_bytes<std::string>(bytes), std::runtime_error);
+  EXPECT_THROW((void)from_bytes<std::vector<std::vector<int>>>(bytes),
+               std::runtime_error);
+  using Map = std::map<int, std::string>;
+  EXPECT_THROW((void)from_bytes<Map>(bytes), std::runtime_error);
+  using Pairs = std::vector<std::pair<std::uint64_t, std::string>>;
+  EXPECT_THROW((void)from_bytes<Pairs>(bytes), std::runtime_error);
+  // A count the payload does hold still decodes.
+  const std::vector<std::string> strings{"", "a", "bc"};
+  EXPECT_EQ(round_trip(strings), strings);
 }
 
 TEST(Archive, ManifestRoundTrip) {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "hash/crc32c.hpp"
@@ -113,6 +114,35 @@ INSTANTIATE_TEST_SUITE_P(BlockBoundaries, Sha1LengthSweep,
                          ::testing::Values(0, 1, 54, 55, 56, 57, 63, 64, 65,
                                            118, 119, 120, 127, 128, 129, 255,
                                            256, 1000));
+
+// Known answers for the sweep's byte pattern (i * 37 + 11) at lengths that
+// fit the padding into the last data block (55, 65, 119), spill it into a
+// second block (56, 63, 120) or start it on a fresh block (64, 512,
+// 4096).  The streaming comparison above cannot catch a padding bug, since
+// both sides share finish().  Reference digests from Python's hashlib:
+//   hashlib.sha1(bytes((i * 37 + 11) & 0xff for i in range(n))).hexdigest()
+TEST(Sha1, PaddingKnownAnswers) {
+  const std::pair<std::size_t, const char*> kVectors[] = {
+      {55, "c4622048cfef59b72875839ee7ae1cbcf55e7658"},
+      {56, "ddc12942656468475970fa4fa49161f52ed138e4"},
+      {63, "7f8c3fa49f1297bd8b9feb964b6b419987f9f0d1"},
+      {64, "a334b47180c61fd522f99905ec02c36f9e848211"},
+      {65, "dd27d9eb923d39687e10872c3e8133ba2f0a68a1"},
+      {119, "bea949473b1ec34747ce121c3293624b5d9d8f84"},
+      {120, "bf05266acd3ec21592b4d42aaea97fa6f3e51926"},
+      {512, "f3042998a20f9db0d9e64f95131a576d6031f7f0"},
+      {4096, "c4a4f8cb5d332af2c2c970d28d45e66d22b12b82"},
+  };
+  for (const auto& [len, hex] : kVectors) {
+    std::vector<std::uint8_t> data(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      data[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    const auto digest = Sha1::digest(data);
+    EXPECT_EQ(Fingerprint{std::span<const std::uint8_t>{digest}}.hex(), hex)
+        << "len=" << len;
+  }
+}
 
 // -- XXH64 -------------------------------------------------------------------
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "fault/schedule.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/runtime.hpp"
 
@@ -188,6 +189,60 @@ TEST(Window, IntraNodeEpochCheaperThanInterNode) {
     return result;
   };
   EXPECT_LT(epoch_time(2) * 5, epoch_time(1));  // same node ≫ cheaper
+}
+
+// A rank that issued puts and then dies before the fence still delivers
+// them: the survivors' fence completes with the dead rank's bytes in the
+// epoch's NIC accounting and in its targets' epoch_bytes_recv(), and with
+// its last put's issue time as the epoch start.  The pinned values are
+// those of the implementation that tallied every put into the shared
+// window state as it was issued.
+TEST(Window, DeadRanksPutsCountAtTheSurvivorsFence) {
+  constexpr int kRanks = 6;
+  constexpr int kVictim = 3;
+  fault::FaultSchedule sched;
+  fault::FaultEvent ev;
+  ev.point = "dump.exchange.mid";
+  ev.rank = kVictim;
+  ev.action = fault::FaultAction::kKillRank;
+  sched.add(ev);
+  simmpi::RuntimeOptions opts;
+  opts.cluster.ranks_per_node = 2;
+  opts.faults = &sched;
+  opts.contain_failures = true;
+  std::vector<double> release(kRanks, -1.0);
+  std::vector<std::uint64_t> recv(kRanks, 0);
+  std::vector<int> threw(kRanks, 0);
+  simmpi::Runtime rt(kRanks, opts);
+  rt.run([&](simmpi::Comm& comm) {
+    const int r = comm.rank();
+    auto win = comm.win_create(64);
+    // The victim issues its puts last in sim time, so its issue clock is
+    // what starts the epoch.
+    comm.charge(r == kVictim ? 2.0e-3 : 1.0e-4 * r);
+    const std::vector<std::uint8_t> rec(8, static_cast<std::uint8_t>(r));
+    win.put((r + 1) % kRanks, 0, rec,
+            1000 + 100 * static_cast<std::uint64_t>(r));
+    win.put((r + 3) % kRanks, 8, rec, 4096);
+    comm.fault_point("dump.exchange.mid");
+    try {
+      win.fence();
+    } catch (const simmpi::RankDeadError&) {
+      // The epoch completed; the world shrank under it.
+      threw[static_cast<std::size_t>(r)] = 1;
+      release[static_cast<std::size_t>(r)] = comm.clock().now();
+      recv[static_cast<std::size_t>(r)] = comm.epoch_bytes_recv();
+      (void)comm.shrink();
+    }
+  });
+  const std::vector<std::uint64_t> kRecv = {5596, 5096, 5196, 0, 5396, 5496};
+  for (int r = 0; r < kRanks; ++r) {
+    const auto ur = static_cast<std::size_t>(r);
+    if (r == kVictim) continue;
+    EXPECT_EQ(threw[ur], 1) << "rank " << r;
+    EXPECT_EQ(release[ur], 0.0024277960000000003) << "rank " << r;
+    EXPECT_EQ(recv[ur], kRecv[ur]) << "rank " << r;
+  }
 }
 
 }  // namespace
