@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the core primitives: the
 // dispatched data-plane kernels (GF(256) multiply-accumulate, CRC-32C,
-// SHA-1 compression, CDC chunking), HMERGE, RANK_SHUFFLE, offset
+// SHA-1 compression, CDC chunking), the k-way HMERGE, RANK_SHUFFLE, offset
 // calculation, chunking + local dedup, and the serialization archive —
 // the per-call costs that the simtime model's merge_entry_cost_s /
 // chunk_overhead_s constants approximate.
@@ -93,51 +93,6 @@ void BM_CdcChunking(benchmark::State& state, bool skip_ahead) {
                           static_cast<std::int64_t>(buf.size()));
 }
 
-// Two strictly ascending key sets of n entries sharing overlap_pct percent
-// of their keys, with the shared keys scattered uniformly through each
-// side's sorted order (the "naturally distributed redundancy" shape the
-// paper's workloads produce, and the hardest case for run-detecting merge
-// kernels: short alternating spans with duplicate islands).
-std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>>
-make_key_sets(std::size_t n, int overlap_pct, std::uint64_t seed) {
-  const std::size_t shared = n * static_cast<std::size_t>(overlap_pct) / 100;
-  const std::size_t total = 2 * n - shared;
-  std::vector<std::uint64_t> pool(total);
-  apps::SplitMix64 rng(seed);
-  for (;;) {
-    for (auto& k : pool) k = rng.next();
-    std::sort(pool.begin(), pool.end());
-    if (std::adjacent_find(pool.begin(), pool.end()) == pool.end()) break;
-  }
-  // Value-shuffle so the shared block ([n-shared, n)) lands at random key
-  // positions once each side is re-sorted.
-  for (std::size_t i = total - 1; i > 0; --i) {
-    std::swap(pool[i], pool[rng.next() % (i + 1)]);
-  }
-  std::vector<std::uint64_t> a(pool.begin(),
-                               pool.begin() + static_cast<std::ptrdiff_t>(n));
-  std::vector<std::uint64_t> b(pool.end() - static_cast<std::ptrdiff_t>(n),
-                               pool.end());
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return {std::move(a), std::move(b)};
-}
-
-void BM_HmergeKeys(benchmark::State& state, kernels::HmergeFn fn) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int overlap = static_cast<int>(state.range(1));
-  const auto [a, b] = make_key_sets(n, overlap, 0x9E3779B9u + n);
-  std::vector<std::uint8_t> tags(a.size() + b.size());
-  for (auto _ : state) {
-    kernels::HmergeResult r = fn(a.data(), a.size(), b.data(), b.size(),
-                                 tags.data());
-    benchmark::DoNotOptimize(r);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(a.size() + b.size()));
-}
-
 void register_kernel_benches() {
   for (const auto& v : kernels::gf_variants()) {
     if (!v.available) continue;
@@ -161,28 +116,13 @@ void register_kernel_benches() {
       ->MinWarmUpTime(kWarmupSeconds);
   benchmark::RegisterBenchmark("cdc_chunking/skip_ahead", BM_CdcChunking, true)
       ->MinWarmUpTime(kWarmupSeconds);
-  // The planned-merge kernel across the world-size sweep (4k = per-rank
-  // sets at paper scale, 64k = reduction-tree roots, 1M = large-world
-  // stress) and the duplicate-ratio sweep (percent of keys both sides
-  // share, scattered).
-  for (const auto& v : kernels::hmerge_variants()) {
-    if (!v.available) continue;
-    auto* bench = benchmark::RegisterBenchmark(
-        ("hmerge_keys/" + std::string(v.name)).c_str(), BM_HmergeKeys, v.fn);
-    for (std::int64_t n : {4096, 65536, 1048576}) {
-      for (std::int64_t overlap : {0, 25, 75, 100}) {
-        bench->Args({n, overlap});
-      }
-    }
-    bench->MinWarmUpTime(kWarmupSeconds);
-  }
 }
 
 // -- collective-dedup primitives ----------------------------------------------
 
 core::BoundedFpSet make_set(int entries, int rank, int nranks, int k) {
   // Cap above the entry count so the F bound never truncates the bench
-  // working set (1M-entry "large world" runs included).
+  // working set.
   const auto f_cap = std::max(1u << 17, static_cast<unsigned>(2 * entries));
   core::BoundedFpSet s(f_cap, k, nranks);
   apps::SplitMix64 rng(static_cast<std::uint64_t>(rank) * 7919 + 13);
@@ -192,29 +132,6 @@ core::BoundedFpSet make_set(int entries, int rank, int nranks, int k) {
   s.enforce_f();
   return s;
 }
-
-void BM_HMerge(benchmark::State& state) {
-  const int entries = static_cast<int>(state.range(0));
-  // Build once, copy per iteration (merge_from consumes its argument).
-  const auto proto_a = make_set(entries, 0, 4, 3);
-  const auto proto_b = make_set(entries, 1, 4, 3);
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto a = proto_a;
-    auto b = proto_b;
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(a.merge_from(std::move(b)));
-  }
-  // entries/s over both operands (the linear merge scans 2 * entries).
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
-                          entries);
-}
-BENCHMARK(BM_HMerge)
-    ->Arg(256)
-    ->Arg(4096)
-    ->Arg(65536)
-    ->Arg(1048576)
-    ->MinWarmUpTime(kWarmupSeconds);
 
 // K-way HMERGE at a reduction-tree node: one accumulated set absorbing
 // several children in a single multi-way pass (fan-in 4, the binomial

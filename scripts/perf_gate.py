@@ -43,14 +43,6 @@ RULESETS = {
     "BENCH_kernels": [
         (r"^kernels\.[^.]+\.variants_gbps\.[^.]+$", "higher", 0.10, 0.0),
         (r"^kernels\.[^.]+\.speedup$", "higher", 0.10, 0.0),
-        # hmerge: per-variant entry rates are the noisiest numbers in the
-        # file (short merges, branchy regimes), so they get a wider band;
-        # the per-overlap speedups are ratios on the same host and noise
-        # mostly cancels.
-        (r"^kernels\.hmerge\.variants_mkeys_per_s\.[^.]+\.[^.]+$",
-         "higher", 0.25, 0.0),
-        (r"^kernels\.hmerge\.speedup_65536_by_overlap\.[^.]+$",
-         "higher", 0.15, 0.0),
         (r"^fp_set\..*$", "higher", 0.10, 0.0),
         (r"^fig3b\.speedup$", "higher", 0.15, 0.0),
     ],

@@ -18,7 +18,7 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo"
 
 cmake -B build -S . -DCOLLREP_WERROR=ON
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j)
 
 # collcheck rides the tier-1 build (the binary is part of the default
@@ -34,7 +34,7 @@ if [[ -n "${COLLREP_SANITIZE:-}" ]]; then
   echo "== sanitizer pass (${COLLREP_SANITIZE}) =="
   cmake -B "$san_dir" -S . -DCOLLREP_SANITIZE="${COLLREP_SANITIZE}" \
         -DCOLLREP_WERROR=ON
-  cmake --build "$san_dir" -j
+  cmake --build "$san_dir" -j "$(nproc)"
   # The threaded-runtime tests are where a sanitizer earns its keep; the
   # `kernels` label rides along so every dispatched SIMD path gets an
   # ASan/TSan pass too, `recover` keeps the shrink/containment protocol

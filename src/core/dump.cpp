@@ -15,8 +15,6 @@ namespace collrep::core {
 
 namespace {
 
-constexpr std::size_t kRecordHeaderBytes =
-    hash::Fingerprint::kBytes + sizeof(std::uint32_t);
 constexpr int kManifestTagBase = 6 << 20;
 
 struct PhaseClock {
@@ -154,29 +152,10 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
   // ---- Phase 2: collective reduction of fingerprint frequencies ------------
   BoundedFpSet gview;
   if (config_.strategy == Strategy::kCollDedup) {
-    BoundedFpSet mine(config_.threshold_f, keff, n);
-    for (const auto u : local.unique_chunks) {
-      mine.add_local(local.chunk_fps[u], rank);
-    }
-    mine.enforce_f();
+    // Building the leaf streams this rank's unique fingerprints.
     comm_.charge(static_cast<double>(local.unique_chunks.size()) *
                  cluster.merge_entry_cost_s);
-    // K-way reduce: a tree node merges all children it received in one
-    // multi-way HMERGE pass (entries_scanned still totals the incoming
-    // entries, so the charged merge time matches the old pairwise sum).
-    gview = simmpi::reduce_kway(
-        comm_, std::move(mine),
-        [this, &cluster](BoundedFpSet a, std::vector<BoundedFpSet> children) {
-          const MergeStats ms = a.merge_many(std::move(children));
-          comm_.charge(static_cast<double>(ms.entries_scanned) *
-                       cluster.merge_entry_cost_s);
-          return a;
-        },
-        0);
-    // Singletons are semantically dead weight in the view (see
-    // BoundedFpSet::prune_singletons); drop them before the broadcast.
-    if (rank == 0) (void)gview.prune_singletons();
-    simmpi::bcast(comm_, gview, 0);
+    gview = reduce_global_view(comm_, local, config_.threshold_f, keff);
     stats.gview_entries = static_cast<std::uint32_t>(gview.size());
   }
   stats.phases.reduction_s = phase.lap("planning");

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
-#include "kernels/kernels.hpp"
+#include "simmpi/collectives.hpp"
 
 namespace collrep::core {
 
@@ -100,31 +101,6 @@ int fp_add(hash::Fingerprint& base,
   store_be64(bytes.data() + 8, s1);
   store_be32(bytes.data() + 16, s2);
   return static_cast<int>(carry0);
-}
-
-// Order-preserving 64-bit prefix of a fingerprint: the first 8 bytes
-// read big-endian.  fp_a < fp_b implies key(a) <= key(b); equal keys do
-// NOT imply equal fingerprints (the callers handle both collision
-// directions).
-std::uint64_t prefix_key(const hash::Fingerprint& fp) noexcept {
-  return load_be64(fp.bytes().data());
-}
-
-// Fills `keys` with the prefix key of every entry.  Returns false when
-// two adjacent (fp-sorted) entries collide on the prefix — then the keys
-// are not strictly ascending and the hmerge kernel precondition fails.
-bool build_keys(const std::vector<FpEntry>& entries,
-                std::vector<std::uint64_t>& keys) {
-  keys.resize(entries.size());
-  bool strict = true;
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const std::uint64_t k = prefix_key(entries[i].fp);
-    strict &= (i == 0) | (k > prev);
-    keys[i] = k;
-    prev = k;
-  }
-  return strict;
 }
 
 }  // namespace
@@ -247,183 +223,6 @@ void BoundedFpSet::truncate_to_f(MergeStats& stats) {
     }
   }
   entries_.resize(kept);
-}
-
-// Full-fingerprint reference merge.  Also the fallback when either
-// input's prefix keys are not strictly ascending (adjacent fingerprints
-// sharing their first 8 bytes), which the kernel cannot represent.
-void BoundedFpSet::merge_entries_scalar(const BoundedFpSet& other,
-                                        MergeStats& stats) {
-  std::size_t live_ranks = 0;
-  for (const FpEntry& e : entries_) live_ranks += e.rank_len;
-  for (const FpEntry& e : other.entries_) live_ranks += e.rank_len;
-
-  std::vector<FpEntry> merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  std::vector<std::int32_t> pool;
-  pool.reserve(live_ranks);
-  std::vector<std::int32_t> scratch;
-
-  const auto copy_entry = [&](const BoundedFpSet& src, const FpEntry& e) {
-    FpEntry out = e;
-    out.rank_off = static_cast<std::uint32_t>(pool.size());
-    const auto r = src.ranks(e);
-    pool.insert(pool.end(), r.begin(), r.end());
-    merged.push_back(out);
-  };
-
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < entries_.size() || ib < other.entries_.size()) {
-    if (ib == other.entries_.size() ||
-        (ia < entries_.size() && entries_[ia].fp < other.entries_[ib].fp)) {
-      copy_entry(*this, entries_[ia++]);
-      continue;
-    }
-    if (ia == entries_.size() || other.entries_[ib].fp < entries_[ia].fp) {
-      copy_entry(other, other.entries_[ib++]);
-      continue;
-    }
-    // Common fingerprint: sum frequencies, union the two sorted rank lists
-    // (disjoint by construction: each rank's fingerprints enter the
-    // reduction exactly once), re-enforce the K bound.
-    const FpEntry& a = entries_[ia++];
-    const FpEntry& b = other.entries_[ib++];
-    scratch.clear();
-    const auto ra = ranks(a);
-    const auto rb = other.ranks(b);
-    std::merge(ra.begin(), ra.end(), rb.begin(), rb.end(),
-               std::back_inserter(scratch));
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    truncate_ranks(scratch, stats);
-
-    FpEntry out;
-    out.fp = a.fp;
-    out.freq = a.freq + b.freq;
-    out.rank_off = static_cast<std::uint32_t>(pool.size());
-    out.rank_len = static_cast<std::uint32_t>(scratch.size());
-    pool.insert(pool.end(), scratch.begin(), scratch.end());
-    merged.push_back(out);
-  }
-
-  entries_ = std::move(merged);
-  rank_pool_ = std::move(pool);
-}
-
-// Applies a tag string produced by the dispatched hmerge kernel over the
-// two inputs' prefix keys: take-runs turn into one bulk entry copy each
-// (the freq/rank payload moves without being inspected), and the scalar
-// reconciliation below runs only on kHmergeMatch positions.  A match tag
-// certifies equal *prefixes*; the full fingerprints are compared here
-// and a cross-input prefix collision emits both entries, fingerprint-
-// ascending, instead of fusing them.
-void BoundedFpSet::merge_entries_kernel(const BoundedFpSet& other,
-                                        const std::uint8_t* tags,
-                                        std::size_t out_len,
-                                        MergeStats& stats) {
-  std::size_t live_ranks = 0;
-  for (const FpEntry& e : entries_) live_ranks += e.rank_len;
-  for (const FpEntry& e : other.entries_) live_ranks += e.rank_len;
-
-  std::vector<FpEntry> merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  std::vector<std::int32_t> pool;
-  pool.reserve(live_ranks);
-  std::vector<std::int32_t> scratch;
-
-  const auto copy_run = [&](const BoundedFpSet& src, std::size_t first,
-                            std::size_t len) {
-    const std::size_t at = merged.size();
-    merged.insert(merged.end(), src.entries_.begin() + first,
-                  src.entries_.begin() + first + len);
-    for (std::size_t t = 0; t < len; ++t) {
-      FpEntry& e = merged[at + t];
-      const std::uint32_t off = static_cast<std::uint32_t>(pool.size());
-      const auto r = src.ranks(e);
-      pool.insert(pool.end(), r.begin(), r.end());
-      e.rank_off = off;
-    }
-  };
-
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  std::size_t t = 0;
-  while (t < out_len) {
-    const std::uint8_t tag = tags[t];
-    std::size_t run = 1;
-    while (t + run < out_len && tags[t + run] == tag) ++run;
-    t += run;
-    if (tag == kernels::kHmergeTakeA) {
-      copy_run(*this, ia, run);
-      ia += run;
-      continue;
-    }
-    if (tag == kernels::kHmergeTakeB) {
-      copy_run(other, ib, run);
-      ib += run;
-      continue;
-    }
-    for (std::size_t x = 0; x < run; ++x) {
-      const FpEntry& a = entries_[ia++];
-      const FpEntry& b = other.entries_[ib++];
-      if (a.fp != b.fp) {
-        // Cross-input prefix collision: distinct fingerprints, same
-        // 8-byte prefix.  Both survive, ordered by full fingerprint.
-        const bool a_first = a.fp < b.fp;
-        copy_run(a_first ? *this : other, (a_first ? ia : ib) - 1, 1);
-        copy_run(a_first ? other : *this, (a_first ? ib : ia) - 1, 1);
-        continue;
-      }
-      scratch.clear();
-      const auto ra = ranks(a);
-      const auto rb = other.ranks(b);
-      std::merge(ra.begin(), ra.end(), rb.begin(), rb.end(),
-                 std::back_inserter(scratch));
-      scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                    scratch.end());
-      truncate_ranks(scratch, stats);
-
-      FpEntry out;
-      out.fp = a.fp;
-      out.freq = a.freq + b.freq;
-      out.rank_off = static_cast<std::uint32_t>(pool.size());
-      out.rank_len = static_cast<std::uint32_t>(scratch.size());
-      pool.insert(pool.end(), scratch.begin(), scratch.end());
-      merged.push_back(out);
-    }
-  }
-
-  entries_ = std::move(merged);
-  rank_pool_ = std::move(pool);
-}
-
-MergeStats BoundedFpSet::merge_from(BoundedFpSet&& other) {
-  if (other.k_ != k_ || other.f_cap_ != f_cap_ ||
-      other.rank_load_.size() != rank_load_.size()) {
-    throw std::invalid_argument("BoundedFpSet: incompatible merge operands");
-  }
-  seal();
-  other.seal();
-  MergeStats stats;
-  stats.entries_scanned = other.entries_.size();
-
-  // Combined designation counts steer the load-aware truncations below.
-  for (std::size_t i = 0; i < rank_load_.size(); ++i) {
-    rank_load_[i] += other.rank_load_[i];
-  }
-
-  std::vector<std::uint64_t> ka;
-  std::vector<std::uint64_t> kb;
-  if (build_keys(entries_, ka) && build_keys(other.entries_, kb)) {
-    std::vector<std::uint8_t> tags(ka.size() + kb.size());
-    const kernels::HmergeResult plan = kernels::dispatch().hmerge(
-        ka.data(), ka.size(), kb.data(), kb.size(), tags.data());
-    merge_entries_kernel(other, tags.data(), plan.out_len, stats);
-  } else {
-    merge_entries_scalar(other, stats);
-  }
-  truncate_to_f(stats);
-  return stats;
 }
 
 MergeStats BoundedFpSet::merge_many(std::vector<BoundedFpSet>&& others) {
@@ -612,12 +411,19 @@ void load(simmpi::IArchive& ar, BoundedFpSet& s) {
   if (s.rank_load_.size() != nranks) {
     throw std::runtime_error("BoundedFpSet: corrupt load vector");
   }
+  // The smallest valid entry: lead and len bytes, one-byte freq and rank
+  // count varints, and one designated rank.
+  constexpr std::size_t kMinEntryBytes = 5;
   const std::size_t count = ar.get_size();
+  if (count > ar.remaining() / kMinEntryBytes) {
+    throw std::runtime_error("BoundedFpSet: entry count exceeds buffer");
+  }
   s.entries_.clear();
   s.entries_.reserve(count);
   s.rank_pool_.clear();
   s.rank_pool_.reserve(count);  // >= one designated rank per entry
 
+  const auto max_ranks = static_cast<std::uint64_t>(std::max(s.k_, 0));
   hash::Fingerprint prev;
   for (std::size_t i = 0; i < count; ++i) {
     const auto lead = ar.get<std::uint8_t>();
@@ -635,18 +441,64 @@ void load(simmpi::IArchive& ar, BoundedFpSet& s) {
     if (fp_add(e.fp, delta) != 0) {
       throw std::runtime_error("BoundedFpSet: corrupt fingerprint delta");
     }
-    e.freq = static_cast<std::uint32_t>(ar.get_varint());
+    const std::uint64_t freq = ar.get_varint();
+    if (freq == 0 || freq > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::runtime_error("BoundedFpSet: corrupt frequency");
+    }
+    const std::uint64_t rank_len = ar.get_varint();
+    if (rank_len > max_ranks) {
+      throw std::runtime_error("BoundedFpSet: rank list longer than K");
+    }
+    e.freq = static_cast<std::uint32_t>(freq);
     e.rank_off = static_cast<std::uint32_t>(s.rank_pool_.size());
-    e.rank_len = static_cast<std::uint32_t>(ar.get_varint());
-    std::int32_t rank = 0;
-    for (std::uint32_t j = 0; j < e.rank_len; ++j) {
-      rank += static_cast<std::int32_t>(ar.get_varint());
-      s.rank_pool_.push_back(rank);
+    e.rank_len = static_cast<std::uint32_t>(rank_len);
+    std::uint64_t rank = 0;
+    for (std::uint64_t j = 0; j < rank_len; ++j) {
+      const std::uint64_t step = ar.get_varint();
+      if (j > 0 && step == 0) {
+        throw std::runtime_error("BoundedFpSet: ranks not strictly ascending");
+      }
+      if (step >= nranks || rank + step >= nranks) {
+        throw std::runtime_error("BoundedFpSet: rank out of range");
+      }
+      rank += step;
+      s.rank_pool_.push_back(static_cast<std::int32_t>(rank));
     }
     s.entries_.push_back(e);
     prev = e.fp;
   }
   s.sealed_ = true;
+  if (!s.check_invariants()) {
+    throw std::runtime_error("BoundedFpSet: loaded set violates invariants");
+  }
+}
+
+BoundedFpSet reduce_global_view(simmpi::Comm& comm,
+                                const LocalDedupResult& local,
+                                std::uint32_t f_cap, int k) {
+  const int rank = comm.rank();
+  const auto& cluster = comm.cluster();
+  BoundedFpSet mine(f_cap, k, comm.size());
+  for (const auto u : local.unique_chunks) {
+    mine.add_local(local.chunk_fps[u], rank);
+  }
+  mine.enforce_f();
+  // K-way reduce: a tree node merges all children it received in one
+  // multi-way HMERGE pass.
+  BoundedFpSet gview = simmpi::reduce_kway(
+      comm, std::move(mine),
+      [&comm, &cluster](BoundedFpSet a, std::vector<BoundedFpSet> children) {
+        const MergeStats ms = a.merge_many(std::move(children));
+        comm.charge(static_cast<double>(ms.entries_scanned) *
+                    cluster.merge_entry_cost_s);
+        return a;
+      },
+      0);
+  // Singletons are semantically dead weight in the view (see
+  // BoundedFpSet::prune_singletons); drop them before the broadcast.
+  if (rank == 0) (void)gview.prune_singletons();
+  simmpi::bcast(comm, gview, 0);
+  return gview;
 }
 
 }  // namespace collrep::core

@@ -13,7 +13,7 @@
 //
 // Storage is a fingerprint-sorted flat vector of fixed-size entries whose
 // designated-rank lists live in one shared pool, so HMERGE is a single
-// linear two-pointer merge (no rehashing, no per-entry allocation) and
+// linear multi-way merge (no rehashing, no per-entry allocation) and
 // lookups are a binary search over contiguous memory.  add_local() is an
 // O(1) append; the set seals itself (sort + duplicate check) lazily at the
 // first lookup, merge, bound enforcement, or serialization.
@@ -23,8 +23,10 @@
 #include <span>
 #include <vector>
 
+#include "core/local_dedup.hpp"
 #include "hash/fingerprint.hpp"
 #include "simmpi/archive.hpp"
+#include "simmpi/comm.hpp"
 
 namespace collrep::core {
 
@@ -48,28 +50,19 @@ class BoundedFpSet {
 
   // Registers one locally unique fingerprint of `rank` (freq 1).  O(1)
   // append; a duplicate fingerprint is diagnosed (std::logic_error) at the
-  // next seal point — enforce_f(), merge_from(), find(), or save().  Call
+  // next seal point — enforce_f(), merge_many(), find(), or save().  Call
   // enforce_f() once after the last add_local (adds skip the F bound so
   // leaf construction stays linear).
   void add_local(const hash::Fingerprint& fp, int rank);
   MergeStats enforce_f();
 
-  // HMERGE: folds `other` into *this, then re-enforces both bounds.
-  //
-  // The key-intersection scan runs through the dispatched hmerge kernel
-  // (src/kernels) over 64-bit big-endian fingerprint prefixes: the kernel
-  // plans the merge as a tag string, take-runs become bulk entry copies,
-  // and the scalar freq/rank reconciliation touches only matched entries.
-  // Entries whose prefixes collide within one input (never seen with real
-  // digests, but legal) fall back to the full-fingerprint scalar merge.
-  MergeStats merge_from(BoundedFpSet&& other);
-
-  // K-way HMERGE: folds all of `others` into *this in one multi-way pass
-  // — a reduction-tree node with several children merges every child
-  // against the accumulated set once, instead of rewriting the
-  // accumulator per child as iterated merge_from calls would.  Both
-  // bounds are re-enforced once, against the combined designation loads,
-  // so results can differ from iterated pairwise merges when the K or F
+  // HMERGE: folds all of `others` into *this in one multi-way pass — a
+  // reduction-tree node with several children merges every child against
+  // the accumulated set once, instead of rewriting the accumulator per
+  // child.  Designation loads are summed first; each shared fingerprint
+  // then gets its frequencies summed and its rank lists unioned and
+  // K-truncated (fingerprint-ascending), and the F bound is enforced last.
+  // Results can differ from iterated single-child merges when the K or F
   // bound binds at an intermediate step (the bounds themselves still
   // hold).  entries_scanned sums the incoming entry counts.
   MergeStats merge_many(std::vector<BoundedFpSet>&& others);
@@ -122,15 +115,6 @@ class BoundedFpSet {
   // Keeps the K least-loaded designated ranks of `scratch` (ties toward
   // the lower rank id), releasing the dropped ranks' load.
   void truncate_ranks(std::vector<std::int32_t>& scratch, MergeStats& stats);
-  // Full-fingerprint two-pointer merge; the fallback when prefix keys
-  // are not strictly ascending, and the reference the kernel path must
-  // match bit-for-bit.
-  void merge_entries_scalar(const BoundedFpSet& other, MergeStats& stats);
-  // Kernel-planned merge: tags from the dispatched hmerge kernel drive
-  // bulk take-run copies and match-only reconciliation.
-  void merge_entries_kernel(const BoundedFpSet& other,
-                            const std::uint8_t* tags, std::size_t out_len,
-                            MergeStats& stats);
   // Drops least frequent entries until size() <= F.
   void truncate_to_f(MergeStats& stats);
 
@@ -143,6 +127,22 @@ class BoundedFpSet {
 };
 
 void save(simmpi::OArchive& ar, const BoundedFpSet& s);
+// Treats the bytes as untrusted: counts are bounded by the remaining input
+// before anything is allocated, and a set that breaks the wire format or
+// check_invariants() (ranks out of range or not strictly ascending, more
+// than K ranks, zero frequency, a load vector that does not match) throws
+// std::runtime_error.
 void load(simmpi::IArchive& ar, BoundedFpSet& s);
+
+// The global view (the paper's ALLREDUCE(HMERGE, LHashes) step).
+// Collective: each rank builds its leaf from `local`'s unique chunks,
+// bounded to `f_cap` entries and `k` designated ranks, the leaves are
+// reduced k-way onto rank 0 (each merge charges entries_scanned *
+// merge_entry_cost_s to the merging rank), rank 0 drops the singletons,
+// and every rank returns the broadcast result.  Building the leaf is not
+// charged here: callers that model it charge it themselves.
+[[nodiscard]] BoundedFpSet reduce_global_view(simmpi::Comm& comm,
+                                              const LocalDedupResult& local,
+                                              std::uint32_t f_cap, int k);
 
 }  // namespace collrep::core

@@ -132,22 +132,7 @@ EcDumpStats EcDumper::dump_output(const chunk::Dataset& buffer) {
   const int cap = config_.parity + 1;  // natural copies that equal coding
   core::BoundedFpSet gview;
   if (config_.use_collective_dedup && config_.parity > 0) {
-    core::BoundedFpSet mine(config_.threshold_f, cap, n);
-    for (const auto u : local.unique_chunks) {
-      mine.add_local(local.chunk_fps[u], rank);
-    }
-    mine.enforce_f();
-    gview = simmpi::reduce_kway(
-        comm_, std::move(mine),
-        [&](core::BoundedFpSet a, std::vector<core::BoundedFpSet> children) {
-          const auto ms = a.merge_many(std::move(children));
-          comm_.charge(static_cast<double>(ms.entries_scanned) *
-                       cluster.merge_entry_cost_s);
-          return a;
-        },
-        0);
-    if (rank == 0) (void)gview.prune_singletons();
-    simmpi::bcast(comm_, gview, 0);
+    gview = core::reduce_global_view(comm_, local, config_.threshold_f, cap);
   }
 
   // ---- stream selection -------------------------------------------------------

@@ -9,24 +9,6 @@
 
 namespace collrep::core {
 
-namespace {
-
-constexpr std::size_t kRecordHeaderBytes =
-    hash::Fingerprint::kBytes + sizeof(std::uint32_t);
-
-// One replica copy the scrub decided to ship; the plan is computed
-// identically on every rank from the merged health set, so offsets need no
-// extra communication (the repair analogue of CALC_OFF).
-struct RepairSend {
-  hash::Fingerprint fp;
-  std::uint32_t length = 0;
-  int sender = 0;
-  int receiver = 0;
-  std::uint64_t offset = 0;  // byte offset in the receiver's window
-};
-
-}  // namespace
-
 void ReplicaHealthSet::add_local(const hash::Fingerprint& fp,
                                  std::uint32_t length, int rank) {
   Entry& e = entries_[fp];
@@ -77,8 +59,15 @@ void save(simmpi::OArchive& ar, const ReplicaHealthSet& s) {
 }
 
 void load(simmpi::IArchive& ar, ReplicaHealthSet& s) {
+  // Encoded entry: fingerprint, count, length, u16 holder count, holders.
+  constexpr std::size_t kMinEntryBytes = hash::Fingerprint::kBytes +
+                                         2 * sizeof(std::uint32_t) +
+                                         sizeof(std::uint16_t);
   ar.get(s.k_);
   const std::size_t count = ar.get_size();
+  if (count > ar.remaining() / kMinEntryBytes) {
+    throw std::runtime_error("ReplicaHealthSet: entry count exceeds buffer");
+  }
   s.entries_.clear();
   s.entries_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -87,10 +76,24 @@ void load(simmpi::IArchive& ar, ReplicaHealthSet& s) {
     ReplicaHealthSet::Entry e;
     ar.get(e.count);
     ar.get(e.length);
+    if (e.count == 0) {
+      throw std::runtime_error("ReplicaHealthSet: zero replica count");
+    }
     const auto nholders = ar.get<std::uint16_t>();
+    if (nholders > ar.remaining() / sizeof(std::int32_t)) {
+      throw std::runtime_error("ReplicaHealthSet: holder count exceeds buffer");
+    }
     e.holders.resize(nholders);
-    for (auto& r : e.holders) ar.get(r);
-    s.entries_.emplace(fp, std::move(e));
+    for (std::size_t j = 0; j < e.holders.size(); ++j) {
+      ar.get(e.holders[j]);
+      if (j > 0 && e.holders[j] <= e.holders[j - 1]) {
+        throw std::runtime_error(
+            "ReplicaHealthSet: holders not strictly ascending");
+      }
+    }
+    if (!s.entries_.emplace(fp, std::move(e)).second) {
+      throw std::runtime_error("ReplicaHealthSet: duplicate fingerprint");
+    }
   }
 }
 
@@ -114,6 +117,123 @@ ReplicaHealthSet allreduce_health(simmpi::Comm& comm,
                     cluster.merge_entry_cost_s);
         return a;
       });
+}
+
+ShortfallPlan plan_shortfall(const ReplicaHealthSet& health, int keff,
+                             std::span<const int> alive_ranks,
+                             bool payload_mode) {
+  ShortfallPlan plan;
+  plan.payload_mode = payload_mode;
+  std::vector<std::pair<hash::Fingerprint, const ReplicaHealthSet::Entry*>>
+      deficits;
+  for (const auto& [fp, e] : health.entries()) {
+    if (static_cast<int>(e.count) >= keff) {
+      plan.satisfied_chunks += 1;
+      plan.satisfied_bytes += e.length;
+    } else {
+      deficits.emplace_back(fp, &e);
+    }
+  }
+  std::sort(deficits.begin(), deficits.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  // Next free window offset per receiver (receivers are alive ranks).
+  std::vector<std::uint64_t> window_bytes(
+      alive_ranks.empty() ? 0 : static_cast<std::size_t>(alive_ranks.back()) + 1,
+      0);
+  std::size_t cursor = 0;
+  for (const auto& [fp, e] : deficits) {
+    plan.deficit_chunks += 1;
+    plan.deficit_bytes += e->length;
+    const int need = keff - static_cast<int>(e->count);
+    const std::size_t slot_bytes =
+        kRecordHeaderBytes + (payload_mode ? e->length : 0);
+    int picked = 0;
+    std::size_t seen = 0;
+    std::size_t si = 0;
+    while (picked < need && seen < alive_ranks.size()) {
+      const int r = alive_ranks[cursor % alive_ranks.size()];
+      ++cursor;
+      ++seen;
+      if (std::binary_search(e->holders.begin(), e->holders.end(), r)) {
+        continue;
+      }
+      ShortfallSend s;
+      s.fp = fp;
+      s.length = e->length;
+      s.sender = e->holders[si++ % e->holders.size()];
+      s.receiver = r;
+      s.offset = window_bytes[static_cast<std::size_t>(r)];
+      window_bytes[static_cast<std::size_t>(r)] += slot_bytes;
+      plan.sends.push_back(s);
+      plan.shipped_bytes += e->length;
+      ++picked;
+    }
+  }
+  return plan;
+}
+
+ShipStats ship_shortfall(simmpi::Comm& comm, chunk::ChunkStore& store,
+                         const ShortfallPlan& plan, const char* fault_point) {
+  const int rank = comm.rank();
+  const auto& cluster = comm.cluster();
+  const auto record_bytes = [&plan](const ShortfallSend& s) {
+    return kRecordHeaderBytes + (plan.payload_mode ? s.length : 0);
+  };
+  std::uint64_t window_bytes = 0;
+  for (const ShortfallSend& s : plan.sends) {
+    if (s.receiver == rank) {
+      window_bytes = std::max(window_bytes, s.offset + record_bytes(s));
+    }
+  }
+
+  ShipStats stats;
+  simmpi::Window win =
+      comm.win_create(static_cast<std::size_t>(window_bytes));
+  std::vector<std::uint8_t> record;
+  for (const ShortfallSend& s : plan.sends) {
+    if (s.sender != rank) continue;
+    record.assign(record_bytes(s), 0);
+    std::memcpy(record.data(), s.fp.bytes().data(), hash::Fingerprint::kBytes);
+    std::memcpy(record.data() + hash::Fingerprint::kBytes, &s.length,
+                sizeof s.length);
+    if (plan.payload_mode) {
+      const auto payload = store.get(s.fp);
+      if (!payload.has_value()) {
+        throw std::logic_error(
+            "ship_shortfall: health set names this rank as holder of a "
+            "chunk its store does not have");
+      }
+      std::memcpy(record.data() + kRecordHeaderBytes, payload->data(),
+                  payload->size());
+    }
+    win.put(s.receiver, static_cast<std::size_t>(s.offset), record,
+            kRecordHeaderBytes + s.length);
+    ++stats.sent_chunks;
+    stats.sent_bytes += s.length;
+  }
+  comm.fault_point(fault_point);
+  // Final epoch of the shipping window: no RMA follows.
+  win.fence(simmpi::kFenceNoSucceed);
+
+  const auto region = win.local();
+  for (const ShortfallSend& s : plan.sends) {
+    if (s.receiver != rank || store.failed()) continue;
+    if (plan.payload_mode) {
+      store.put(s.fp, std::span<const std::uint8_t>{
+                          region.data() + s.offset + kRecordHeaderBytes,
+                          s.length});
+    } else {
+      store.put_accounted(s.fp, s.length);
+    }
+    ++stats.recv_chunks;
+    stats.recv_bytes += s.length;
+  }
+  win.free();
+  comm.charge(static_cast<double>(stats.recv_bytes) /
+                  cluster.mem_bandwidth_bps +
+              static_cast<double>(stats.recv_bytes) / cluster.hdd_write_bps);
+  return stats;
 }
 
 RepairStats repair_replicas(simmpi::Comm& comm,
@@ -203,101 +323,23 @@ RepairStats repair_replicas(simmpi::Comm& comm,
   stats.k_achieved_min_before = simmpi::allreduce(
       comm, my_min, [](int a, int b) { return a < b ? a : b; });
 
-  // ---- Plan: ship exactly the shortfall -------------------------------------
-  // Deterministic on every rank: deficits ordered by fingerprint, receivers
-  // chosen by a rotating cursor over the alive non-holders (spreads the
-  // re-replication load), senders round-robin over the surviving holders.
-  std::vector<std::pair<hash::Fingerprint, const ReplicaHealthSet::Entry*>>
-      deficits;
-  for (const auto& [fp, e] : health.entries()) {
-    if (static_cast<int>(e.count) < keff) deficits.emplace_back(fp, &e);
-  }
-  std::sort(deficits.begin(), deficits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  comm.charge(static_cast<double>(deficits.size()) *
+  // ---- Plan and exchange: ship exactly the shortfall ------------------------
+  const ShortfallPlan plan =
+      plan_shortfall(health, keff, alive_ranks,
+                     store.mode() == chunk::StoreMode::kPayload);
+  comm.charge(static_cast<double>(plan.deficit_chunks) *
               cluster.merge_entry_cost_s);
+  stats.under_replicated_chunks = plan.deficit_chunks;
+  stats.under_replicated_bytes = plan.deficit_bytes;
+  stats.resent_chunks = plan.sends.size();
+  stats.resent_bytes = plan.shipped_bytes;
 
-  const bool payload_mode = store.mode() == chunk::StoreMode::kPayload;
-  std::vector<RepairSend> plan;
-  std::vector<std::uint64_t> window_bytes(static_cast<std::size_t>(n), 0);
-  std::size_t cursor = 0;
-  for (const auto& [fp, e] : deficits) {
-    stats.under_replicated_chunks += 1;
-    stats.under_replicated_bytes += e->length;
-    const int need = keff - static_cast<int>(e->count);
-    const std::size_t slot_bytes =
-        kRecordHeaderBytes + (payload_mode ? e->length : 0);
-    int picked = 0;
-    std::size_t seen = 0;
-    std::size_t si = 0;
-    while (picked < need && seen < alive_ranks.size()) {
-      const int r = alive_ranks[cursor % alive_ranks.size()];
-      ++cursor;
-      ++seen;
-      if (std::binary_search(e->holders.begin(), e->holders.end(), r)) {
-        continue;
-      }
-      RepairSend s;
-      s.fp = fp;
-      s.length = e->length;
-      s.sender = e->holders[si++ % e->holders.size()];
-      s.receiver = r;
-      s.offset = window_bytes[static_cast<std::size_t>(r)];
-      window_bytes[static_cast<std::size_t>(r)] += slot_bytes;
-      plan.push_back(s);
-      ++picked;
-    }
-    stats.resent_chunks += static_cast<std::uint64_t>(picked);
-    stats.resent_bytes +=
-        static_cast<std::uint64_t>(picked) * e->length;
-  }
-
-  // ---- Exchange: one window epoch, same record layout as DUMP_OUTPUT -------
-  simmpi::Window win = comm.win_create(
-      static_cast<std::size_t>(window_bytes[static_cast<std::size_t>(rank)]));
-  std::vector<std::uint8_t> record;
-  for (const RepairSend& s : plan) {
-    if (s.sender != rank) continue;
-    record.assign(kRecordHeaderBytes + (payload_mode ? s.length : 0), 0);
-    std::memcpy(record.data(), s.fp.bytes().data(), hash::Fingerprint::kBytes);
-    std::memcpy(record.data() + hash::Fingerprint::kBytes, &s.length,
-                sizeof s.length);
-    if (payload_mode) {
-      const auto payload = store.get(s.fp);
-      if (!payload.has_value()) {
-        throw std::logic_error(
-            "repair_replicas: health set names this rank as holder of a "
-            "chunk its store does not have");
-      }
-      std::memcpy(record.data() + kRecordHeaderBytes, payload->data(),
-                  payload->size());
-    }
-    win.put(s.receiver, static_cast<std::size_t>(s.offset), record,
-            kRecordHeaderBytes + s.length);
-    ++stats.sent_chunks;
-    stats.sent_bytes += s.length;
-  }
-  comm.fault_point("repair.exchange.mid");
-  // Final epoch of the repair window: no RMA follows.
-  win.fence(simmpi::kFenceNoSucceed);
-
-  const auto region = win.local();
-  for (const RepairSend& s : plan) {
-    if (s.receiver != rank || store.failed()) continue;
-    if (payload_mode) {
-      store.put(s.fp, std::span<const std::uint8_t>{
-                          region.data() + s.offset + kRecordHeaderBytes,
-                          s.length});
-    } else {
-      store.put_accounted(s.fp, s.length);
-    }
-    ++stats.recv_chunks;
-    stats.recv_bytes += s.length;
-  }
-  win.free();
-  comm.charge(static_cast<double>(stats.recv_bytes) /
-                  cluster.mem_bandwidth_bps +
-              static_cast<double>(stats.recv_bytes) / cluster.hdd_write_bps);
+  const ShipStats shipped =
+      ship_shortfall(comm, store, plan, "repair.exchange.mid");
+  stats.sent_chunks = shipped.sent_chunks;
+  stats.sent_bytes = shipped.sent_bytes;
+  stats.recv_chunks = shipped.recv_chunks;
+  stats.recv_bytes = shipped.recv_bytes;
 
   // After the top-up every under-replicated fingerprint is back at K_eff;
   // only chunks with zero surviving replicas stay below it.

@@ -10,6 +10,7 @@
 // which is the measurement bench/ablate_failures.cpp makes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -68,6 +69,10 @@ class ReplicaHealthSet {
 };
 
 void save(simmpi::OArchive& ar, const ReplicaHealthSet& s);
+// Treats the bytes as untrusted: the entry count is bounded by the
+// remaining input before anything is allocated, and a zero replica count,
+// a holder list that is not strictly ascending, or a repeated fingerprint
+// throws std::runtime_error.
 void load(simmpi::IArchive& ar, ReplicaHealthSet& s);
 
 // Collective audit helper (also used by the degraded dump path): every
@@ -77,6 +82,62 @@ void load(simmpi::IArchive& ar, ReplicaHealthSet& s);
 [[nodiscard]] ReplicaHealthSet allreduce_health(simmpi::Comm& comm,
                                                const chunk::ChunkStore& store,
                                                int k);
+
+// Window record layout shared by DUMP_OUTPUT and ship_shortfall: the
+// fingerprint, the u32 payload length, then the payload bytes (payload
+// exchanges only).
+inline constexpr std::size_t kRecordHeaderBytes =
+    hash::Fingerprint::kBytes + sizeof(std::uint32_t);
+
+// One replica copy to ship: `sender` holds the chunk, `receiver` is an
+// alive non-holder, and the record lands at `offset` in the receiver's
+// window.
+struct ShortfallSend {
+  hash::Fingerprint fp;
+  std::uint32_t length = 0;
+  int sender = 0;
+  int receiver = 0;
+  std::uint64_t offset = 0;
+};
+
+struct ShortfallPlan {
+  bool payload_mode = false;  // records carry payloads
+  std::vector<ShortfallSend> sends;  // fingerprint-ascending
+  std::uint64_t deficit_chunks = 0;  // fingerprints below K_eff
+  std::uint64_t deficit_bytes = 0;   // their payload bytes (once)
+  std::uint64_t satisfied_chunks = 0;  // fingerprints already at K_eff
+  std::uint64_t satisfied_bytes = 0;
+  std::uint64_t shipped_bytes = 0;  // payload bytes over all sends
+};
+
+// Plans the re-replication of every fingerprint below `keff` copies.
+// Pure and deterministic, so every rank computes the same plan from the
+// same merged health set and the window offsets need no negotiation (the
+// shortfall analogue of CALC_OFF): deficits are taken in fingerprint
+// order, receivers come from one rotating cursor over the alive
+// non-holders (spreading the load), and senders rotate over the holders.
+// Each deficit gets min(keff - count, alive non-holders) new copies, and
+// records are packed per receiver from offset 0.  `alive_ranks` must be
+// ascending.
+[[nodiscard]] ShortfallPlan plan_shortfall(const ReplicaHealthSet& health,
+                                           int keff,
+                                           std::span<const int> alive_ranks,
+                                           bool payload_mode);
+
+struct ShipStats {
+  std::uint64_t sent_chunks = 0;  // records this rank put
+  std::uint64_t sent_bytes = 0;   // their payload bytes
+  std::uint64_t recv_chunks = 0;  // copies committed to this rank's store
+  std::uint64_t recv_bytes = 0;
+};
+
+// Collective: executes `plan` in one window epoch.  Each rank puts the
+// records it sends, passes `fault_point`, and fences; each rank whose
+// store is alive then commits the records addressed to it and charges the
+// receive-side copy and disk write.  `store` must be in payload mode
+// exactly when plan.payload_mode is set.
+ShipStats ship_shortfall(simmpi::Comm& comm, chunk::ChunkStore& store,
+                         const ShortfallPlan& plan, const char* fault_point);
 
 struct RepairStats {
   int rank = 0;

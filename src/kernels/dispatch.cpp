@@ -22,18 +22,15 @@ CpuFeatures probe() noexcept {
     f.ssse3 = (ecx & bit_SSSE3) != 0;
     f.sse42 = (ecx & bit_SSE4_2) != 0;
     f.pclmul = (ecx & bit_PCLMUL) != 0;
-    // AVX2 additionally needs the OS to save YMM state (OSXSAVE + XCR0);
-    // AVX-512 needs the opmask + ZMM state bits on top of that.
+    // AVX2 additionally needs the OS to save YMM state (OSXSAVE + XCR0).
     const bool osxsave = (ecx & bit_OSXSAVE) != 0;
     const bool avx = (ecx & bit_AVX) != 0;
     bool ymm_enabled = false;
-    bool zmm_enabled = false;
     if (osxsave && avx) {
       std::uint32_t xcr0_lo = 0;
       std::uint32_t xcr0_hi = 0;
       __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
       ymm_enabled = (xcr0_lo & 0x6u) == 0x6u;  // XMM + YMM state saved
-      zmm_enabled = (xcr0_lo & 0xE6u) == 0xE6u;  // + opmask/ZMM_Hi256/Hi16
     }
     unsigned eax7 = 0;
     unsigned ebx7 = 0;
@@ -42,10 +39,6 @@ CpuFeatures probe() noexcept {
     if (__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7) != 0) {
       f.avx2 = ymm_enabled && (ebx7 & bit_AVX2) != 0;
       f.sha_ni = (ebx7 & bit_SHA) != 0;
-      const unsigned avx512_bits =
-          bit_AVX512F | bit_AVX512BW | bit_AVX512DQ | bit_AVX512VL;
-      f.avx512 = zmm_enabled && (ebx7 & avx512_bits) == avx512_bits;
-      f.vpclmulqdq = f.avx512 && f.pclmul && (ecx7 & bit_VPCLMULQDQ) != 0;
     }
   }
 #endif
@@ -60,7 +53,6 @@ Dispatch resolve() noexcept {
   const auto gf = gf_variants();
   const auto crc = crc32c_variants();
   const auto sha = sha1_variants();
-  const auto hm = hmerge_variants();
 
   const auto pick = [force_scalar](const auto& variants) -> std::size_t {
     if (force_scalar) return 0;
@@ -83,10 +75,6 @@ Dispatch resolve() noexcept {
   const auto& s = sha[pick(sha)];
   d.sha1_blocks = s.fn;
   d.sha1_name = s.name;
-
-  const auto& h = hm[pick(hm)];
-  d.hmerge = h.fn;
-  d.hmerge_name = h.name;
   return d;
 }
 

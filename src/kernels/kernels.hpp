@@ -28,12 +28,7 @@ struct CpuFeatures {
   bool sse42 = false;
   bool avx2 = false;    // includes the OS-enabled-YMM (XGETBV) check
   bool sha_ni = false;
-  bool pclmul = false;      // PCLMULQDQ (carry-less multiply)
-  bool vpclmulqdq = false;  // wide VPCLMULQDQ (implies pclmul on real CPUs)
-  // AVX-512 F+BW+DQ+VL as one bundle, including the OS-enabled-ZMM
-  // (XGETBV opmask/ZMM_Hi256/Hi16_ZMM) check; the merge kernels need all
-  // four subsets, so there is no point probing them separately.
-  bool avx512 = false;
+  bool pclmul = false;  // PCLMULQDQ (carry-less multiply)
 };
 
 // CPUID probe, performed once and cached.
@@ -54,30 +49,6 @@ using Crc32cFn = std::uint32_t (*)(std::uint32_t crc, const std::uint8_t* data,
 using Sha1BlocksFn = void (*)(std::uint32_t state[5],
                               const std::uint8_t* blocks, std::size_t nblocks);
 
-// HMERGE: set-merge planning over two strictly-ascending u64 key arrays.
-//
-// The fingerprint set stores entries sorted by 20-byte fingerprint; the
-// first 8 bytes, read big-endian, are an order-preserving 64-bit prefix
-// key.  The kernel walks both key arrays and emits one *tag* byte per
-// merged output element — take-from-A, take-from-B, or key-match — so the
-// caller can bulk-copy disjoint runs and run the (scalar, branchy)
-// freq/rank reconciliation only on the tagged matches.  Keys must be
-// strictly ascending within each input; a kHmergeMatch tag therefore
-// names exactly one element of each side.  `tags` must have room for
-// na + nb bytes.
-inline constexpr std::uint8_t kHmergeTakeA = 0;
-inline constexpr std::uint8_t kHmergeTakeB = 1;
-inline constexpr std::uint8_t kHmergeMatch = 2;
-
-struct HmergeResult {
-  std::size_t out_len;  // tags written == na + nb - matches
-  std::size_t matches;  // number of kHmergeMatch tags
-};
-
-using HmergeFn = HmergeResult (*)(const std::uint64_t* a, std::size_t na,
-                                  const std::uint64_t* b, std::size_t nb,
-                                  std::uint8_t* tags);
-
 struct GfVariant {
   const char* name;  // "scalar", "ssse3", "avx2"
   bool available;    // true when this CPU can execute it
@@ -97,18 +68,11 @@ struct Sha1Variant {
   Sha1BlocksFn fn;
 };
 
-struct HmergeVariant {
-  const char* name;  // "scalar", "avx2", "avx512"
-  bool available;
-  HmergeFn fn;
-};
-
 // Variant lists, scalar reference first, fastest last.  Entries with
 // available == false are compiled in but must not be called.
 [[nodiscard]] std::span<const GfVariant> gf_variants() noexcept;
 [[nodiscard]] std::span<const Crc32cVariant> crc32c_variants() noexcept;
 [[nodiscard]] std::span<const Sha1Variant> sha1_variants() noexcept;
-[[nodiscard]] std::span<const HmergeVariant> hmerge_variants() noexcept;
 
 // The active kernel set: best available variant per kernel, or the scalar
 // references when COLLREP_KERNELS=scalar.  Resolved on first use (thread
@@ -118,11 +82,9 @@ struct Dispatch {
   GfMulFn gf_mul;
   Crc32cFn crc32c;
   Sha1BlocksFn sha1_blocks;
-  HmergeFn hmerge;
   const char* gf_name;
   const char* crc32c_name;
   const char* sha1_name;
-  const char* hmerge_name;
 };
 
 [[nodiscard]] const Dispatch& dispatch() noexcept;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <span>
@@ -16,20 +15,6 @@
 namespace collrep::recover {
 
 namespace {
-
-constexpr std::size_t kRecordHeaderBytes =
-    hash::Fingerprint::kBytes + sizeof(std::uint32_t);
-
-// One replica copy the rebalance ships (same record layout and planning
-// rules as core::repair_replicas, so the exchange stays deterministic and
-// needs no offset negotiation).
-struct ShipOrder {
-  hash::Fingerprint fp;
-  std::uint32_t length = 0;
-  int sender = 0;
-  int receiver = 0;
-  std::uint64_t offset = 0;  // byte offset in the receiver's window
-};
 
 // Lost-chunk evidence, packed so the union allreduce moves one map:
 // owner (post-shrink dense rank) in the high half, length in the low.
@@ -226,99 +211,18 @@ RecoveryStats RecoveryService::recover_world(simmpi::Comm& comm) const {
         static_cast<int>(stores_.size()) - static_cast<int>(alive_ranks.size()));
   }
 
-  // Classification + deterministic plan (the repair planner's rules:
-  // deficits ordered by fingerprint, receivers via a rotating cursor over
-  // alive non-holders, senders round-robin over surviving holders).
-  std::vector<std::pair<hash::Fingerprint, const core::ReplicaHealthSet::Entry*>>
-      deficits;
-  for (const auto& [fp, e] : health.entries()) {
-    if (static_cast<int>(e.count) >= keff) {
-      stats.dedup_satisfied_chunks += 1;
-      stats.dedup_satisfied_bytes += e.length;
-    } else {
-      deficits.emplace_back(fp, &e);
-    }
-  }
-  std::sort(deficits.begin(), deficits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Only the shortfall moves, planned and shipped by the engine
+  // core::repair_replicas uses.
+  const core::ShortfallPlan plan =
+      core::plan_shortfall(health, keff, alive_ranks, payload_mode);
   comm.charge(static_cast<double>(health.size()) * cluster.merge_entry_cost_s);
+  stats.dedup_satisfied_chunks = plan.satisfied_chunks;
+  stats.dedup_satisfied_bytes = plan.satisfied_bytes;
+  stats.rereplicated_chunks = plan.sends.size();
+  stats.rereplicated_bytes = plan.shipped_bytes;
 
-  std::vector<ShipOrder> plan;
-  std::vector<std::uint64_t> window_bytes(static_cast<std::size_t>(n), 0);
-  std::size_t cursor = 0;
-  for (const auto& [fp, e] : deficits) {
-    const int need = keff - static_cast<int>(e->count);
-    const std::size_t slot_bytes =
-        kRecordHeaderBytes + (payload_mode ? e->length : 0);
-    int picked = 0;
-    std::size_t seen = 0;
-    std::size_t si = 0;
-    while (picked < need && seen < alive_ranks.size()) {
-      const int r = alive_ranks[cursor % alive_ranks.size()];
-      ++cursor;
-      ++seen;
-      if (std::binary_search(e->holders.begin(), e->holders.end(), r)) {
-        continue;
-      }
-      ShipOrder s;
-      s.fp = fp;
-      s.length = e->length;
-      s.sender = e->holders[si++ % e->holders.size()];
-      s.receiver = r;
-      s.offset = window_bytes[static_cast<std::size_t>(r)];
-      window_bytes[static_cast<std::size_t>(r)] += slot_bytes;
-      plan.push_back(s);
-      ++picked;
-    }
-    stats.rereplicated_chunks += static_cast<std::uint64_t>(picked);
-    stats.rereplicated_bytes += static_cast<std::uint64_t>(picked) * e->length;
-  }
-
-  // ---- Exchange: one window epoch, DUMP_OUTPUT's record layout -------------
-  comm.fault_point("recover.exchange.mid");
-  simmpi::Window win = comm.win_create(
-      static_cast<std::size_t>(window_bytes[static_cast<std::size_t>(rank)]));
-  std::vector<std::uint8_t> record;
-  std::uint64_t sent_bytes = 0;
-  for (const ShipOrder& s : plan) {
-    if (s.sender != rank) continue;
-    record.assign(kRecordHeaderBytes + (payload_mode ? s.length : 0), 0);
-    std::memcpy(record.data(), s.fp.bytes().data(), hash::Fingerprint::kBytes);
-    std::memcpy(record.data() + hash::Fingerprint::kBytes, &s.length,
-                sizeof s.length);
-    if (payload_mode) {
-      const auto payload = own->get(s.fp);
-      if (!payload.has_value()) {
-        throw std::logic_error(
-            "recover: health set names this rank as holder of a chunk its "
-            "store does not have");
-      }
-      std::memcpy(record.data() + kRecordHeaderBytes, payload->data(),
-                  payload->size());
-    }
-    win.put(s.receiver, static_cast<std::size_t>(s.offset), record,
-            kRecordHeaderBytes + s.length);
-    sent_bytes += s.length;
-  }
-  // Final epoch of the rebalance window: no RMA follows.
-  win.fence(simmpi::kFenceNoSucceed);
-
-  const auto region = win.local();
-  std::uint64_t recv_bytes = 0;
-  for (const ShipOrder& s : plan) {
-    if (s.receiver != rank || own->failed()) continue;
-    if (payload_mode) {
-      own->put(s.fp, std::span<const std::uint8_t>{
-                         region.data() + s.offset + kRecordHeaderBytes,
-                         s.length});
-    } else {
-      own->put_accounted(s.fp, s.length);
-    }
-    recv_bytes += s.length;
-  }
-  win.free();
-  comm.charge(static_cast<double>(recv_bytes) / cluster.mem_bandwidth_bps +
-              static_cast<double>(recv_bytes) / cluster.hdd_write_bps);
+  const core::ShipStats shipped =
+      core::ship_shortfall(comm, *own, plan, "recover.exchange.mid");
 
   // ---- Align, aggregate, publish ------------------------------------------
   stats.orphan_bytes_total = simmpi::allreduce_sum(comm, stats.orphan_bytes);
@@ -331,8 +235,8 @@ RecoveryStats RecoveryService::recover_world(simmpi::Comm& comm) const {
     auto& m = *t->metrics;
     m.add("recover.orphans_adopted", stats.orphans_adopted);
     m.add("recover.orphan_bytes", stats.orphan_bytes);
-    m.add("recover.sent_bytes", sent_bytes);
-    m.add("recover.recv_bytes", recv_bytes);
+    m.add("recover.sent_bytes", shipped.sent_bytes);
+    m.add("recover.recv_bytes", shipped.recv_bytes);
     if (rank == 0) {
       m.add("recover.count");
       m.add("recover.deaths", static_cast<std::uint64_t>(stats.deaths));

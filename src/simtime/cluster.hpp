@@ -36,11 +36,9 @@ struct ClusterConfig {
   double cdc_bps = 1.0e9;
 
   // CPU-side constants ------------------------------------------------------
-  // Per-fingerprint cost of one HMERGE operation.  Calibrated to the
-  // dispatched SIMD merge kernel (~400-600M tags/s planned merge plus the
-  // per-entry copy/reconcile walk ≈ 100M entries/s end to end; the 40ns
-  // figure predates the kernel and matched the scalar full-fingerprint
-  // two-pointer loop).
+  // Per-fingerprint cost of one HMERGE operation (a modeled constant:
+  // the figures' simulated reduction times are pinned to it, whatever the
+  // host-side merge costs).
   double merge_entry_cost_s = 10.0e-9;
   // Fixed per-chunk bookkeeping during local dedup (map insert, metadata).
   double chunk_overhead_s = 120.0e-9;

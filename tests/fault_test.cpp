@@ -8,7 +8,10 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <map>
+#include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -355,6 +358,199 @@ TEST(Repair, SameSeedYieldsBitIdenticalMetrics) {
   // A different seed picks different victims and must show up somewhere.
   const std::string c = run_once(99);
   EXPECT_NE(a, c);
+}
+
+// A store dies after the repair's puts, before its fence: the scrub still
+// completes, the dead receiver commits nothing, and a second scrub brings
+// every chunk back to K over the stores that are left.
+TEST(Repair, StoreLossMidExchangeIsToppedUpByTheNextRepair) {
+  fault::FaultSchedule dump_sched;
+  fault::FaultEvent dump_ev;
+  dump_ev.point = "dump.exchange.mid";
+  dump_ev.rank = 2;
+  dump_sched.add(dump_ev);
+  auto run = run_faulty_dump(dump_sched);
+  run.stores[2].recover_empty();
+
+  // Rank 5 holds none of the under-replicated chunks (they live on ranks
+  // 0, 1, 3 and 4), so it only receives in the first scrub.
+  constexpr int kVictim = 5;
+  fault::FaultSchedule sched;
+  fault::FaultEvent ev;
+  ev.point = "repair.exchange.mid";
+  ev.rank = kVictim;
+  sched.add(ev);
+  std::vector<chunk::ChunkStore*> ptrs;
+  for (auto& s : run.stores) ptrs.push_back(&s);
+  sched.arm(ptrs);
+
+  const auto repair_all = [&](fault::FaultSchedule* faults) {
+    std::vector<core::RepairStats> rstats(kRanks);
+    simmpi::RuntimeOptions opts;
+    opts.faults = faults;
+    simmpi::Runtime rt(kRanks, opts);
+    rt.run([&](simmpi::Comm& comm) {
+      rstats[static_cast<std::size_t>(comm.rank())] =
+          core::repair_replicas(comm, ptrs, kK);
+    });
+    return rstats;
+  };
+
+  const auto first = repair_all(&sched);
+  ASSERT_EQ(sched.fired().size(), 1u);
+  EXPECT_TRUE(run.stores[kVictim].failed());
+  const auto& g = first[0];
+  EXPECT_EQ(g.resent_chunks, 3 * kPages);
+  std::uint64_t sent = 0;
+  std::uint64_t committed = 0;
+  for (const auto& s : first) {
+    sent += s.sent_chunks;
+    committed += s.recv_chunks;
+  }
+  EXPECT_EQ(sent, g.resent_chunks);  // every put was issued
+  EXPECT_EQ(first[kVictim].recv_chunks, 0u);
+  EXPECT_GT(g.resent_chunks, committed);  // the victim's copies are missing
+
+  const auto second = repair_all(nullptr);
+  EXPECT_EQ(second[0].alive_stores, kRanks - 1);
+  EXPECT_EQ(second[0].k_effective, kK);
+  EXPECT_EQ(second[0].lost_chunks, 0u);
+  EXPECT_GT(second[0].resent_chunks, 0u);
+  EXPECT_EQ(second[0].k_achieved_min_after, kK);
+  EXPECT_EQ(min_replicas(run.stores), static_cast<std::size_t>(kK));
+}
+
+// -- shortfall planner ------------------------------------------------------------
+
+TEST(ShortfallPlan, TopsUpEveryDeficitFromHoldersToAliveNonHolders) {
+  std::mt19937_64 rng(0x5F0A11);
+  constexpr int kN = 8;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<int> alive;
+    for (int r = 0; r < kN; ++r) {
+      if (rng() % 4 != 0) alive.push_back(r);
+    }
+    if (alive.empty()) alive.push_back(static_cast<int>(rng() % kN));
+    // keff beyond the alive count exercises the "not enough non-holders"
+    // cap.
+    const int keff = 1 + static_cast<int>(rng() % 5);
+    const bool payload_mode = trial % 2 == 0;
+    core::ReplicaHealthSet health(keff);
+    for (std::uint64_t id = 0; id < 30; ++id) {
+      const auto fp = hash::Fingerprint::from_u64(id * 0x9E3779B9u + 1);
+      const auto length = static_cast<std::uint32_t>(100 + rng() % 900);
+      for (const int r : alive) {
+        if (rng() % 3 == 0) health.add_local(fp, length, r);
+      }
+    }
+
+    const auto plan = core::plan_shortfall(health, keff, alive, payload_mode);
+    std::map<hash::Fingerprint, int> copies;
+    std::map<int, std::vector<std::pair<std::uint64_t, std::uint64_t>>> slots;
+    std::uint64_t shipped = 0;
+    for (const auto& send : plan.sends) {
+      const auto* e = health.find(send.fp);
+      ASSERT_NE(e, nullptr);
+      const auto& h = e->holders;
+      EXPECT_TRUE(std::binary_search(h.begin(), h.end(), send.sender));
+      EXPECT_FALSE(std::binary_search(h.begin(), h.end(), send.receiver));
+      EXPECT_TRUE(std::binary_search(alive.begin(), alive.end(), send.receiver));
+      EXPECT_EQ(send.length, e->length);
+      ++copies[send.fp];
+      slots[send.receiver].emplace_back(
+          send.offset,
+          core::kRecordHeaderBytes + (payload_mode ? send.length : 0));
+      shipped += send.length;
+    }
+    // Per receiver, records tile the window from 0 with no gap or overlap.
+    for (auto& [receiver, list] : slots) {
+      std::sort(list.begin(), list.end());
+      std::uint64_t end = 0;
+      for (const auto& [offset, bytes] : list) {
+        EXPECT_EQ(offset, end) << "receiver " << receiver;
+        end = offset + bytes;
+      }
+    }
+    std::uint64_t deficits = 0;
+    std::uint64_t satisfied = 0;
+    for (const auto& [fp, e] : health.entries()) {
+      if (static_cast<int>(e.count) >= keff) {
+        ++satisfied;
+        EXPECT_EQ(copies.count(fp), 0u);
+        continue;
+      }
+      ++deficits;
+      const int non_holders =
+          static_cast<int>(alive.size()) - static_cast<int>(e.holders.size());
+      const int want =
+          std::min(keff - static_cast<int>(e.count), non_holders);
+      EXPECT_EQ(copies[fp], want) << trial;
+    }
+    EXPECT_EQ(plan.deficit_chunks, deficits);
+    EXPECT_EQ(plan.satisfied_chunks, satisfied);
+    EXPECT_EQ(plan.shipped_bytes, shipped);
+
+    // Every rank plans from the same inputs; the plan must not vary.
+    const auto again = core::plan_shortfall(health, keff, alive, payload_mode);
+    ASSERT_EQ(again.sends.size(), plan.sends.size());
+    for (std::size_t i = 0; i < plan.sends.size(); ++i) {
+      EXPECT_EQ(again.sends[i].fp, plan.sends[i].fp);
+      EXPECT_EQ(again.sends[i].sender, plan.sends[i].sender);
+      EXPECT_EQ(again.sends[i].receiver, plan.sends[i].receiver);
+      EXPECT_EQ(again.sends[i].offset, plan.sends[i].offset);
+    }
+  }
+}
+
+// -- untrusted-bytes load of the health set ---------------------------------------
+
+// Encodes a ReplicaHealthSet with `count` announced and one entry per
+// (count, holders) pair following.
+std::vector<std::uint8_t> encode_health(
+    std::uint64_t count,
+    const std::vector<std::pair<std::uint32_t, std::vector<std::int32_t>>>&
+        entries) {
+  simmpi::OArchive ar;
+  ar.put(kK);
+  ar.put_size(count);
+  std::uint64_t id = 1;
+  for (const auto& [replicas, holders] : entries) {
+    ar.put(hash::Fingerprint::from_u64(id++));
+    ar.put(replicas);
+    ar.put(std::uint32_t{kPage});
+    ar.put(static_cast<std::uint16_t>(holders.size()));
+    for (const std::int32_t r : holders) ar.put(r);
+  }
+  return ar.take();
+}
+
+core::ReplicaHealthSet load_health(const std::vector<std::uint8_t>& bytes) {
+  return simmpi::from_bytes<core::ReplicaHealthSet>(bytes);
+}
+
+TEST(ReplicaHealthSet, HandEncodedSetLoads) {
+  const auto h = load_health(encode_health(2, {{2, {0, 3}}, {kK, {}}}));
+  ASSERT_EQ(h.size(), 2u);
+  const auto* e = h.find(hash::Fingerprint::from_u64(1));
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->count, 2u);
+  EXPECT_EQ(e->holders, (std::vector<std::int32_t>{0, 3}));
+}
+
+TEST(ReplicaHealthSet, LoadHugeCountThrowsBeforeAllocating) {
+  EXPECT_THROW(load_health(encode_health(std::uint64_t{1} << 40, {{2, {0}}})),
+               std::runtime_error);
+}
+
+TEST(ReplicaHealthSet, LoadRejectsZeroCount) {
+  EXPECT_THROW(load_health(encode_health(1, {{0, {}}})), std::runtime_error);
+}
+
+TEST(ReplicaHealthSet, LoadRejectsHoldersNotStrictlyAscending) {
+  EXPECT_THROW(load_health(encode_health(1, {{2, {3, 1}}})),
+               std::runtime_error);
+  EXPECT_THROW(load_health(encode_health(1, {{2, {1, 1}}})),
+               std::runtime_error);
 }
 
 // -- CheckpointRuntime degraded policies ---------------------------------------

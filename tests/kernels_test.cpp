@@ -3,8 +3,8 @@
 // always-compiled scalar reference on randomized inputs, including
 // unaligned, short, and empty buffers.  The CDC skip-ahead path is checked
 // for cut-point identity against the reference loop, and the flat
-// BoundedFpSet is checked against a map-based reference model implementing
-// the pre-flat merge semantics.
+// BoundedFpSet's k-way merge is checked against a map-based reference
+// model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -241,141 +241,6 @@ TEST(KernelsCdc, SkipAheadIsCutPointIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// HMERGE planned-merge kernel
-// ---------------------------------------------------------------------------
-
-// Naive oracle: two-pointer union/intersection over the key sets.
-kernels::HmergeResult hmerge_naive(const std::vector<std::uint64_t>& a,
-                                   const std::vector<std::uint64_t>& b,
-                                   std::vector<std::uint8_t>& tags) {
-  kernels::HmergeResult r{0, 0};
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      tags[r.out_len++] = kernels::kHmergeMatch;
-      ++r.matches;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      tags[r.out_len++] = kernels::kHmergeTakeA;
-      ++i;
-    } else {
-      tags[r.out_len++] = kernels::kHmergeTakeB;
-      ++j;
-    }
-  }
-  while (i++ < a.size()) tags[r.out_len++] = kernels::kHmergeTakeA;
-  while (j++ < b.size()) tags[r.out_len++] = kernels::kHmergeTakeB;
-  return r;
-}
-
-// Runs every available variant on (a, b) and checks the plan — result
-// counts and the full tag string — against the naive oracle.
-void check_hmerge(const std::vector<std::uint64_t>& a,
-                  const std::vector<std::uint64_t>& b,
-                  const std::string& label) {
-  const auto variants = kernels::hmerge_variants();
-  ASSERT_FALSE(variants.empty());
-  ASSERT_STREQ(variants[0].name, "scalar");
-  ASSERT_TRUE(variants[0].available);
-
-  std::vector<std::uint8_t> want_tags(a.size() + b.size() + 1, 0xAA);
-  const auto want = hmerge_naive(a, b, want_tags);
-  ASSERT_EQ(want.out_len, a.size() + b.size() - want.matches) << label;
-
-  for (const auto& v : variants) {
-    if (!v.available) continue;
-    std::vector<std::uint8_t> tags(a.size() + b.size() + 1, 0x55);
-    const auto got = v.fn(a.data(), a.size(), b.data(), b.size(), tags.data());
-    ASSERT_EQ(got.out_len, want.out_len) << v.name << " " << label;
-    ASSERT_EQ(got.matches, want.matches) << v.name << " " << label;
-    for (std::size_t t = 0; t < got.out_len; ++t) {
-      ASSERT_EQ(tags[t], want_tags[t])
-          << v.name << " " << label << " tag " << t;
-    }
-  }
-}
-
-std::vector<std::uint64_t> iota_keys(std::uint64_t start, std::size_t n,
-                                     std::uint64_t step = 1) {
-  std::vector<std::uint64_t> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = start + i * step;
-  return out;
-}
-
-TEST(KernelsHmerge, EmptyAndOneSided) {
-  check_hmerge({}, {}, "both empty");
-  check_hmerge(iota_keys(0, 100), {}, "b empty");
-  check_hmerge({}, iota_keys(0, 100), "a empty");
-  check_hmerge(iota_keys(0, 5000), {42}, "singleton b");
-  check_hmerge({42}, iota_keys(0, 5000), "singleton a");
-}
-
-TEST(KernelsHmerge, AllDuplicates) {
-  // Identical inputs at sizes straddling the 16-key block, the dup-run
-  // gallop stride, and the 4096-key segmentation threshold.
-  for (const std::size_t n : {std::size_t{1}, std::size_t{15}, std::size_t{16},
-                              std::size_t{17}, std::size_t{24},
-                              std::size_t{4095}, std::size_t{4096},
-                              std::size_t{4097}, std::size_t{10000}}) {
-    const auto keys = iota_keys(1000, n, 3);
-    check_hmerge(keys, keys, "all-dup n=" + std::to_string(n));
-  }
-}
-
-TEST(KernelsHmerge, FullyAlternating) {
-  // a holds the even keys, b the odd: every block is interleaved, the
-  // burst path does all the work.
-  for (const std::size_t n : {std::size_t{16}, std::size_t{33},
-                              std::size_t{4097}, std::size_t{8192}}) {
-    check_hmerge(iota_keys(0, n, 2), iota_keys(1, n, 2),
-                 "alternating n=" + std::to_string(n));
-  }
-}
-
-TEST(KernelsHmerge, LongDisjointRuns) {
-  // Fully disjoint halves (one gallop each), then alternating runs of a
-  // few hundred keys (the skip-compare + gallop steady state).
-  check_hmerge(iota_keys(0, 6000), iota_keys(6000, 6000), "disjoint halves");
-  check_hmerge(iota_keys(6000, 6000), iota_keys(0, 6000),
-               "disjoint halves swapped");
-  std::vector<std::uint64_t> a, b;
-  for (std::uint64_t run = 0; run < 40; ++run) {
-    auto& side = (run % 2 == 0) ? a : b;
-    const auto keys = iota_keys(run * 300, 300);
-    side.insert(side.end(), keys.begin(), keys.end());
-  }
-  check_hmerge(a, b, "run-length 300 alternation");
-}
-
-TEST(KernelsHmerge, UnalignedCountsRandomized) {
-  // Random scattered-overlap worlds with deliberately lopsided and
-  // non-multiple-of-16 sizes, crossing the segmentation threshold.
-  std::mt19937_64 rng(0xC0FFEE09);
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {1, 1},     {2, 3},      {17, 33},    {129, 4097},
-      {255, 257}, {4095, 31}, {5000, 4999}, {9001, 8192},
-  };
-  for (const auto& [na, nb] : shapes) {
-    for (int trial = 0; trial < 3; ++trial) {
-      // Sample keys from a small universe so every regime appears.
-      const std::uint64_t universe = 1 + (na + nb) * 2 / 3;
-      std::vector<std::uint64_t> a, b;
-      while (a.size() < na) a.push_back(rng() % universe);
-      while (b.size() < nb) b.push_back(rng() % universe);
-      for (auto* v : {&a, &b}) {
-        std::sort(v->begin(), v->end());
-        v->erase(std::unique(v->begin(), v->end()), v->end());
-      }
-      check_hmerge(a, b,
-                   "random na=" + std::to_string(a.size()) +
-                       " nb=" + std::to_string(b.size()) + " t" +
-                       std::to_string(trial));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // BoundedFpSet vs map-based reference model
 // ---------------------------------------------------------------------------
 
@@ -433,24 +298,43 @@ struct RefModel {
     }
   }
 
-  core::MergeStats merge_from(RefModel&& other) {
+  // HMERGE over any number of children: designation loads are summed
+  // first; then every fingerprint present in more than one input (this
+  // model included) gets its frequencies summed and its rank lists
+  // unioned and K-truncated, in ascending fingerprint order; the F bound
+  // is enforced last.
+  core::MergeStats merge_many(std::vector<RefModel>&& others) {
     core::MergeStats stats;
-    for (std::size_t i = 0; i < load.size(); ++i) load[i] += other.load[i];
-    for (auto& [fp, incoming] : other.entries) {  // std::map: fp ascending
-      ++stats.entries_scanned;
-      auto it = entries.find(fp);
-      if (it == entries.end()) {
-        entries.emplace(fp, std::move(incoming));
-        continue;
+    if (others.empty()) return stats;
+    struct Union {
+      std::uint32_t freq = 0;
+      std::vector<std::int32_t> ranks;
+      int inputs = 0;
+    };
+    std::map<hash::Fingerprint, Union> all;
+    const auto absorb = [&all](const RefModel& m) {
+      for (const auto& [fp, e] : m.entries) {
+        Union& u = all[fp];
+        u.freq += e.first;
+        u.ranks.insert(u.ranks.end(), e.second.begin(), e.second.end());
+        ++u.inputs;
       }
-      it->second.first += incoming.first;
-      std::vector<std::int32_t> merged;
-      std::merge(it->second.second.begin(), it->second.second.end(),
-                 incoming.second.begin(), incoming.second.end(),
-                 std::back_inserter(merged));
-      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      it->second.second = std::move(merged);
-      truncate_ranks(it->second.second, stats);
+    };
+    absorb(*this);
+    for (const RefModel& o : others) {
+      stats.entries_scanned += o.entries.size();
+      for (std::size_t i = 0; i < load.size(); ++i) load[i] += o.load[i];
+      absorb(o);
+    }
+    entries.clear();
+    for (auto& [fp, u] : all) {
+      if (u.inputs > 1) {
+        std::sort(u.ranks.begin(), u.ranks.end());
+        u.ranks.erase(std::unique(u.ranks.begin(), u.ranks.end()),
+                      u.ranks.end());
+        truncate_ranks(u.ranks, stats);
+      }
+      entries.emplace(fp, std::make_pair(u.freq, std::move(u.ranks)));
     }
     truncate_to_f(stats);
     return stats;
@@ -491,46 +375,63 @@ void expect_equivalent(const core::BoundedFpSet& flat, const RefModel& ref) {
 }
 
 TEST(KernelsFpSet, FlatMergeMatchesMapReferenceRandomized) {
+  // merge_many against the reference k-way merge at every fan-in from 1
+  // to 5.  The F and K bounds bind in most trials; every fourth trial has
+  // them slack.
   std::mt19937_64 rng(0xC0FFEE07);
   for (int trial = 0; trial < 30; ++trial) {
-    const int nranks = 2 + static_cast<int>(rng() % 7);
-    const int k = 1 + static_cast<int>(rng() % 4);
-    const std::uint32_t f = 1 + static_cast<std::uint32_t>(rng() % 24);
-    const std::uint64_t universe = 1 + rng() % 40;
+    for (std::size_t fan_in = 1; fan_in <= 5; ++fan_in) {
+      const bool slack = trial % 4 == 0;
+      const int nranks = 2 + static_cast<int>(rng() % 7);
+      const int k = slack ? nranks : 1 + static_cast<int>(rng() % 4);
+      const std::uint32_t f =
+          slack ? 4096 : 1 + static_cast<std::uint32_t>(rng() % 24);
+      const std::uint64_t universe = 1 + rng() % 40;
 
-    core::BoundedFpSet flat(f, k, nranks);
-    RefModel ref(f, k, nranks);
-    bool first = true;
-    for (int rank = 0; rank < nranks; ++rank) {
-      core::BoundedFpSet leaf_flat(f, k, nranks);
-      RefModel leaf_ref(f, k, nranks);
-      // A random subset of the fingerprint universe on this rank.
-      for (std::uint64_t id = 0; id < universe; ++id) {
-        if (rng() % 2 == 0) continue;
-        leaf_flat.add_local(hash::Fingerprint::from_u64(id * 0x9E3779B9u),
-                            rank);
-        leaf_ref.add_local(hash::Fingerprint::from_u64(id * 0x9E3779B9u),
-                           rank);
+      std::vector<core::BoundedFpSet> flat_leaves;
+      std::vector<RefModel> ref_leaves;
+      for (int rank = 0; rank < nranks; ++rank) {
+        core::BoundedFpSet leaf_flat(f, k, nranks);
+        RefModel leaf_ref(f, k, nranks);
+        // A random subset of the fingerprint universe on this rank.
+        for (std::uint64_t id = 0; id < universe; ++id) {
+          if (rng() % 2 == 0) continue;
+          leaf_flat.add_local(hash::Fingerprint::from_u64(id * 0x9E3779B9u),
+                              rank);
+          leaf_ref.add_local(hash::Fingerprint::from_u64(id * 0x9E3779B9u),
+                             rank);
+        }
+        leaf_flat.enforce_f();
+        core::MergeStats ref_enforce;
+        leaf_ref.truncate_to_f(ref_enforce);
+        flat_leaves.push_back(std::move(leaf_flat));
+        ref_leaves.push_back(std::move(leaf_ref));
       }
-      leaf_flat.enforce_f();
-      core::MergeStats ref_enforce;
-      leaf_ref.truncate_to_f(ref_enforce);
-      if (first) {
-        flat = std::move(leaf_flat);
-        ref = std::move(leaf_ref);
-        first = false;
-        continue;
+
+      core::BoundedFpSet flat = std::move(flat_leaves[0]);
+      RefModel ref = std::move(ref_leaves[0]);
+      for (std::size_t next = 1; next < flat_leaves.size(); next += fan_in) {
+        const std::size_t end = std::min(next + fan_in, flat_leaves.size());
+        std::vector<core::BoundedFpSet> flat_children;
+        std::vector<RefModel> ref_children;
+        for (std::size_t c = next; c < end; ++c) {
+          flat_children.push_back(std::move(flat_leaves[c]));
+          ref_children.push_back(std::move(ref_leaves[c]));
+        }
+        const auto fs = flat.merge_many(std::move(flat_children));
+        const auto rs = ref.merge_many(std::move(ref_children));
+        EXPECT_EQ(fs.entries_scanned, rs.entries_scanned)
+            << trial << " fan-in " << fan_in;
+        EXPECT_EQ(fs.entries_dropped_f, rs.entries_dropped_f)
+            << trial << " fan-in " << fan_in;
+        EXPECT_EQ(fs.ranks_dropped_load, rs.ranks_dropped_load)
+            << trial << " fan-in " << fan_in;
+        expect_equivalent(flat, ref);
       }
-      const auto fs = flat.merge_from(std::move(leaf_flat));
-      const auto rs = ref.merge_from(std::move(leaf_ref));
-      EXPECT_EQ(fs.entries_scanned, rs.entries_scanned) << trial;
-      EXPECT_EQ(fs.entries_dropped_f, rs.entries_dropped_f) << trial;
-      EXPECT_EQ(fs.ranks_dropped_load, rs.ranks_dropped_load) << trial;
+
+      EXPECT_EQ(flat.prune_singletons(), ref.prune_singletons()) << trial;
+      expect_equivalent(flat, ref);
     }
-    expect_equivalent(flat, ref);
-
-    EXPECT_EQ(flat.prune_singletons(), ref.prune_singletons()) << trial;
-    expect_equivalent(flat, ref);
   }
 }
 
@@ -558,7 +459,7 @@ TEST(KernelsFpSet, ArchiveRoundTripPreservesContentAndIsCanonical) {
       if (rank == 0) {
         acc = std::move(leaf);
       } else {
-        acc.merge_from(std::move(leaf));
+        acc.merge_many({std::move(leaf)});
       }
     }
 
@@ -607,10 +508,9 @@ hash::Fingerprint fp_with_prefix(std::uint64_t prefix, std::uint8_t tail) {
 }
 
 TEST(KernelsFpSet, PrefixCollisionsFallBackAndMergeCorrectly) {
-  // Fingerprints sharing their first 8 bytes defeat the 64-bit planning
-  // keys.  Within one input they force the full-fingerprint scalar path;
-  // across inputs they exercise the kernel path's false-match
-  // verification.  Either way the result must match the reference model.
+  // Fingerprints sharing their first 8 bytes, within one input or across
+  // inputs, must merge by the full fingerprint and match the reference
+  // model.
   struct Case {
     bool collide_within;  // both colliding fps on one side
     const char* label;
@@ -626,7 +526,7 @@ TEST(KernelsFpSet, PrefixCollisionsFallBackAndMergeCorrectly) {
       s.add_local(fp, rank);
       r.add_local(fp, rank);
     };
-    // Distinct-prefix background so the planned path has real work.
+    // Distinct-prefix background so the merge has real work.
     for (std::uint64_t i = 0; i < 30; ++i) {
       add(a, ra, fp_with_prefix(i * 11 + 1, 0), 0);
       if (i % 3 != 0) add(b, rb, fp_with_prefix(i * 11 + 1, 0), 1);
@@ -637,7 +537,7 @@ TEST(KernelsFpSet, PrefixCollisionsFallBackAndMergeCorrectly) {
       add(a, ra, fp_with_prefix(500, 2), 0);
       add(b, rb, fp_with_prefix(500, 2), 1);
     } else {
-      // Cross-input-only collision: equal planning keys, unequal digests.
+      // Cross-input-only collision: equal prefixes, unequal digests.
       add(a, ra, fp_with_prefix(500, 1), 0);
       add(b, rb, fp_with_prefix(500, 2), 1);
       // And one genuine cross-input duplicate for contrast.
@@ -646,8 +546,8 @@ TEST(KernelsFpSet, PrefixCollisionsFallBackAndMergeCorrectly) {
     }
     a.enforce_f();
     b.enforce_f();
-    const auto fs = a.merge_from(std::move(b));
-    const auto rs = ra.merge_from(std::move(rb));
+    const auto fs = a.merge_many({std::move(b)});
+    const auto rs = ra.merge_many({std::move(rb)});
     EXPECT_EQ(fs.entries_scanned, rs.entries_scanned) << c.label;
     expect_equivalent(a, ra);
   }
@@ -669,7 +569,7 @@ TEST(KernelsFpSet, RankListsSaturateAtK) {
     if (rank == 0) {
       acc = std::move(leaf);
     } else {
-      acc.merge_from(std::move(leaf));
+      acc.merge_many({std::move(leaf)});
     }
   }
   ASSERT_EQ(acc.size(), 50u);
@@ -683,49 +583,6 @@ TEST(KernelsFpSet, RankListsSaturateAtK) {
   const auto load = acc.rank_load();
   const auto [lo, hi] = std::minmax_element(load.begin(), load.end());
   EXPECT_LE(*hi - *lo, 4u) << "designation load should stay near-balanced";
-}
-
-TEST(KernelsFpSet, KwayMatchesIteratedPairwiseWhenBoundsAreSlack) {
-  // With F and K loose enough that no truncation fires, the k-way merge
-  // must reproduce iterated pairwise merges exactly.
-  std::mt19937_64 rng(0xC0FFEE0A);
-  for (int trial = 0; trial < 10; ++trial) {
-    const int nranks = 3 + static_cast<int>(rng() % 5);
-    const std::uint32_t f = 4096;  // never binds
-    const int k = nranks;          // never binds
-    std::vector<core::BoundedFpSet> leaves;
-    for (int rank = 0; rank < nranks; ++rank) {
-      core::BoundedFpSet leaf(f, k, nranks);
-      for (std::uint64_t id = 0; id < 60; ++id) {
-        if (rng() % 2 == 0) continue;
-        leaf.add_local(hash::Fingerprint::from_u64(id * 0x2545F491u), rank);
-      }
-      leaf.enforce_f();
-      leaves.push_back(std::move(leaf));
-    }
-    auto pairwise = leaves[0];
-    std::uint64_t scanned_pairwise = 0;
-    for (std::size_t i = 1; i < leaves.size(); ++i) {
-      auto copy = leaves[i];
-      scanned_pairwise += pairwise.merge_from(std::move(copy)).entries_scanned;
-    }
-    auto kway = std::move(leaves[0]);
-    leaves.erase(leaves.begin());
-    const auto ks = kway.merge_many(std::move(leaves));
-    EXPECT_EQ(ks.entries_scanned, scanned_pairwise) << trial;
-    ASSERT_EQ(kway.size(), pairwise.size()) << trial;
-    const auto we = pairwise.entries();
-    const auto ge = kway.entries();
-    for (std::size_t i = 0; i < we.size(); ++i) {
-      EXPECT_EQ(ge[i].fp, we[i].fp);
-      EXPECT_EQ(ge[i].freq, we[i].freq);
-      const auto rw = pairwise.ranks(we[i]);
-      const auto rg = kway.ranks(ge[i]);
-      EXPECT_EQ(std::vector<std::int32_t>(rg.begin(), rg.end()),
-                std::vector<std::int32_t>(rw.begin(), rw.end()));
-    }
-    EXPECT_TRUE(kway.check_invariants());
-  }
 }
 
 TEST(KernelsFpSet, KwayKeepsBoundsWhenTheyBind) {
@@ -773,9 +630,8 @@ TEST(KernelsDispatch, ActiveVariantsAreAvailable) {
   ASSERT_NE(d.gf_mul, nullptr);
   ASSERT_NE(d.crc32c, nullptr);
   ASSERT_NE(d.sha1_blocks, nullptr);
-  ASSERT_NE(d.hmerge, nullptr);
   // The dispatched names must correspond to available variants.
-  bool gf_ok = false, crc_ok = false, sha_ok = false, hm_ok = false;
+  bool gf_ok = false, crc_ok = false, sha_ok = false;
   for (const auto& v : kernels::gf_variants()) {
     if (v.available && std::string_view(v.name) == d.gf_name) gf_ok = true;
   }
@@ -787,13 +643,9 @@ TEST(KernelsDispatch, ActiveVariantsAreAvailable) {
   for (const auto& v : kernels::sha1_variants()) {
     if (v.available && std::string_view(v.name) == d.sha1_name) sha_ok = true;
   }
-  for (const auto& v : kernels::hmerge_variants()) {
-    if (v.available && std::string_view(v.name) == d.hmerge_name) hm_ok = true;
-  }
   EXPECT_TRUE(gf_ok) << d.gf_name;
   EXPECT_TRUE(crc_ok) << d.crc32c_name;
   EXPECT_TRUE(sha_ok) << d.sha1_name;
-  EXPECT_TRUE(hm_ok) << d.hmerge_name;
 }
 
 }  // namespace

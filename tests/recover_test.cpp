@@ -290,6 +290,82 @@ TEST(Recovery, RebalanceShipsExactlyTheShortfall) {
       0);
 }
 
+// A second death in the middle of the rebalance's exchange must surface
+// as RankDeadError on every survivor (never a hang); a second
+// recover_world then absorbs it and finishes the rebalance.
+TEST(Recovery, DeathMidRebalanceSurfacesAndASecondRecoveryCompletes) {
+  constexpr int kN = 4;
+  const auto fp_a = hash::Fingerprint::from_u64(0xA);
+  const auto fp_b = hash::Fingerprint::from_u64(0xB);
+  const auto payload_a = colored(1);
+  const auto payload_b = colored(2);
+
+  ManualWorld world(kN);
+  for (int r = 0; r < kN; ++r) {
+    world.stores[static_cast<std::size_t>(r)].put(fp_a, payload_a);
+  }
+  // B has replicas only on stores 2 and 3; rank 2's dataset needs it.
+  world.stores[2].put(fp_b, payload_b);
+  world.stores[3].put(fp_b, payload_b);
+  const std::vector<hash::Fingerprint> ab{fp_a, fp_b};
+  for (int r = 0; r < kN; ++r) {
+    for (int owner = 0; owner < kN; ++owner) {
+      auto m = owner == 2 ? manifest_of(owner, ab)
+                          : manifest_of(owner, std::span{&fp_a, 1});
+      world.stores[static_cast<std::size_t>(r)].put_manifest(std::move(m));
+    }
+  }
+
+  fault::FaultSchedule sched;
+  add_kills(sched, {3}, "test.kill");
+  add_kills(sched, {1}, "recover.exchange.mid");
+  simmpi::RuntimeOptions opts;
+  opts.contain_failures = true;
+  opts.faults = &sched;
+  recover::RecoveryService svc(world.ptrs, recover::RecoveryConfig{2, true});
+
+  std::vector<int> interrupted(kN, 0);
+  std::vector<std::optional<recover::RecoveryStats>> stats(kN);
+  simmpi::Runtime rt(kN, opts);
+  rt.run([&](simmpi::Comm& comm) {
+    const auto w = static_cast<std::size_t>(comm.world_rank());
+    comm.fault_point("test.kill");
+    try {
+      comm.barrier();
+    } catch (const simmpi::RankDeadError&) {
+    }
+    try {
+      stats[w] = svc.recover_world(comm);
+    } catch (const simmpi::RankDeadError&) {
+      ++interrupted[w];
+      stats[w] = svc.recover_world(comm);
+    }
+  });
+
+  for (const int w : {0, 2}) {
+    const auto i = static_cast<std::size_t>(w);
+    EXPECT_EQ(interrupted[i], 1) << "world rank " << w;
+    ASSERT_TRUE(stats[i].has_value()) << "world rank " << w;
+    EXPECT_EQ(stats[i]->deaths, 1);
+    EXPECT_EQ(stats[i]->world_size_after, 2);
+    EXPECT_EQ(stats[i]->k_effective, 2);
+    EXPECT_EQ(stats[i]->dedup_satisfied_chunks, 1u);  // A: on both survivors
+    EXPECT_EQ(stats[i]->rereplicated_chunks, 1u);     // B: one copy ships
+  }
+  EXPECT_FALSE(stats[1].has_value());
+  EXPECT_FALSE(stats[3].has_value());
+  EXPECT_TRUE(world.stores[0].contains(fp_b));
+  EXPECT_TRUE(world.stores[2].contains(fp_b));
+  // World rank 2's dataset (dense rank 1 after both shrinks) restores.
+  std::vector<chunk::ChunkStore*> alive{world.ptrs[0], world.ptrs[2]};
+  const auto restored = core::restore_rank(alive, 1);
+  ASSERT_EQ(restored.segments.size(), 1u);
+  ASSERT_EQ(restored.segments[0].size(), 2 * kPage);
+  EXPECT_EQ(
+      std::memcmp(restored.segments[0].data() + kPage, payload_b.data(), kPage),
+      0);
+}
+
 // Deaths beyond what K can tolerate must fail loudly — every survivor gets
 // the same rich ChunkLostError instead of hanging or silently continuing.
 TEST(Recovery, CascadingDeathsBeyondKFailLoudly) {

@@ -94,7 +94,7 @@ class PlanCollectiveTest : public ::testing::Test {
         acc = std::move(leaf);
         first = false;
       } else {
-        acc.merge_from(std::move(leaf));
+        acc.merge_many({std::move(leaf)});
       }
     }
     return acc;
@@ -190,7 +190,7 @@ TEST_F(PlanCollectiveTest, AvoidanceWorksInMinimalRing) {
   l0.add_local(fp, 0);
   BoundedFpSet l1(1024, 3, 3);
   l1.add_local(fp, 1);
-  l0.merge_from(std::move(l1));  // D = 2, extras = 1
+  l0.merge_many({std::move(l1)});  // D = 2, extras = 1
 
   const auto shuffle = core::identity_shuffle(3);
   const auto pos = core::invert_shuffle(shuffle);
