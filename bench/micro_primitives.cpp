@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core primitives: the
 // dispatched data-plane kernels (GF(256) multiply-accumulate, CRC-32C,
-// SHA-1 compression, CDC chunking), the k-way HMERGE, RANK_SHUFFLE, offset
-// calculation, chunking + local dedup, and the serialization archive —
+// SHA-1 compression one stream and 16 lanes at a time, CDC chunking), the
+// k-way HMERGE, RANK_SHUFFLE, offset calculation, chunking + local dedup,
+// and the serialization archive —
 // the per-call costs that the simtime model's merge_entry_cost_s /
 // chunk_overhead_s constants approximate.
 //
@@ -80,6 +81,24 @@ void BM_Sha1Blocks(benchmark::State& state, kernels::Sha1BlocksFn fn) {
                           static_cast<std::int64_t>(kKernelBytes));
 }
 
+// The same 64 KiB as sha1_blocks, as 16 lanes of one 4 KiB page each (the
+// paper's chunk size, the shape local dedup feeds the kernel).
+void BM_Sha1x16(benchmark::State& state, kernels::Sha1x16Fn fn) {
+  const auto buf = random_buffer(kKernelBytes, 43);
+  constexpr std::size_t kLaneBytes = kKernelBytes / kernels::kSha1Lanes;
+  const std::uint8_t* lanes[kernels::kSha1Lanes];
+  for (std::size_t l = 0; l < kernels::kSha1Lanes; ++l) {
+    lanes[l] = buf.data() + l * kLaneBytes;
+  }
+  std::uint32_t digest_state[5][kernels::kSha1Lanes] = {};
+  for (auto _ : state) {
+    fn(digest_state, lanes, kLaneBytes / 64);
+    benchmark::DoNotOptimize(digest_state);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kKernelBytes));
+}
+
 void BM_CdcChunking(benchmark::State& state, bool skip_ahead) {
   const auto buf = random_buffer(4 * 1024 * 1024, 53);
   chunk::Dataset ds;
@@ -110,6 +129,12 @@ void register_kernel_benches() {
     if (!v.available) continue;
     benchmark::RegisterBenchmark(("sha1_blocks/" + std::string(v.name)).c_str(),
                                  BM_Sha1Blocks, v.fn)
+        ->MinWarmUpTime(kWarmupSeconds);
+  }
+  for (const auto& v : kernels::sha1_x16_variants()) {
+    if (!v.available) continue;
+    benchmark::RegisterBenchmark(("sha1_x16/" + std::string(v.name)).c_str(),
+                                 BM_Sha1x16, v.fn)
         ->MinWarmUpTime(kWarmupSeconds);
   }
   benchmark::RegisterBenchmark("cdc_chunking/reference", BM_CdcChunking, false)

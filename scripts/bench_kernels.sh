@@ -23,7 +23,7 @@ cmake --build "$build" -j --target micro_primitives fig3b_reduction_overhead_hpc
 
 echo "== kernel micro-benchmarks (median of $reps) =="
 "$build/bench/micro_primitives" \
-  --benchmark_filter='gf_mul_add|crc32c|sha1_blocks|cdc_chunking|BM_HMergeKway|BM_FpSetSerialization' \
+  --benchmark_filter='gf_mul_add|crc32c|sha1_blocks|sha1_x16|cdc_chunking|BM_HMergeKway|BM_FpSetSerialization' \
   --benchmark_repetitions="$reps" \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "$build/micro_kernels.json"
@@ -60,7 +60,7 @@ for b in report["benchmarks"]:
     medians[name] = b
 
 kernels = {}
-for kernel in ("gf_mul_add", "crc32c", "sha1_blocks", "cdc_chunking"):
+for kernel in ("gf_mul_add", "crc32c", "sha1_blocks", "sha1_x16", "cdc_chunking"):
     variants = {}
     for name, b in medians.items():
         if name.startswith(kernel + "/"):

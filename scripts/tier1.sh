@@ -41,8 +41,9 @@ if [[ -n "${COLLREP_SANITIZE:-}" ]]; then
   # (rank death mid-collective) explicitly in the net even if its suite
   # ever sheds the `runtime` label, and `analyze` puts the collcheck rule
   # engine plus its byte-mutation fuzz harness under ASan/UBSan — the
-  # analyzer parses arbitrary PR sources and must not be the flaky link.
-  (cd "$san_dir" && ctest -L 'runtime|kernels|recover|analyze' \
+  # analyzer parses arbitrary PR sources and must not be the flaky link —
+  # and `fuzz` does the same for every wire type a rank decodes.
+  (cd "$san_dir" && ctest -L 'runtime|kernels|recover|analyze|fuzz' \
       --output-on-failure -j)
 fi
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "hash/fingerprint.hpp"
@@ -29,6 +30,30 @@ struct Manifest {
     for (auto s : segment_sizes) sum += s;
     return sum;
   }
+
+  // True when the entries tile the segments in order, the way restore
+  // refills them: each entry fits in the space left in the first segment
+  // that is not yet full (chunks never straddle a segment boundary), and
+  // every segment ends exactly full.  So the segment sizes sum to the
+  // entry lengths, at most 4 GiB per entry, and cannot overflow.  Restore
+  // checks this before it sizes any buffer from segment_sizes.
+  [[nodiscard]] bool check_invariants() const noexcept {
+    std::size_t seg = 0;
+    std::uint64_t filled = 0;
+    for (const ManifestEntry& e : entries) {
+      while (seg < segment_sizes.size() && filled == segment_sizes[seg]) {
+        ++seg;
+        filled = 0;
+      }
+      if (seg == segment_sizes.size()) return false;
+      if (e.length > segment_sizes[seg] - filled) return false;
+      filled += e.length;
+    }
+    for (; seg < segment_sizes.size(); ++seg, filled = 0) {
+      if (filled != segment_sizes[seg]) return false;
+    }
+    return true;
+  }
 };
 
 inline void save(simmpi::OArchive& ar, const Manifest& m) {
@@ -38,11 +63,16 @@ inline void save(simmpi::OArchive& ar, const Manifest& m) {
   ar.put(m.entries);
 }
 
+// Treats the bytes as untrusted: a manifest whose entries do not tile its
+// segments throws std::runtime_error.
 inline void load(simmpi::IArchive& ar, Manifest& m) {
   ar.get(m.owner_rank);
   ar.get(m.epoch);
   ar.get(m.segment_sizes);
   ar.get(m.entries);
+  if (!m.check_invariants()) {
+    throw std::runtime_error("Manifest: entries do not tile the segments");
+  }
 }
 
 // Serialized size estimate used for replication byte accounting.

@@ -361,6 +361,9 @@ core::RestoreResult ec_restore_rank(
     }
   }
   if (manifest == nullptr) throw core::ManifestLostError(rank);
+  if (!manifest->check_invariants()) {
+    throw std::runtime_error("ec_restore: manifest does not tile its segments");
+  }
   const std::uint64_t epoch = manifest->epoch;
 
   // Decoded-stream payloads, filled lazily on the first miss.

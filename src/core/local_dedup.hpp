@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -25,21 +26,26 @@ struct LocalDedupResult {
   std::uint64_t total_bytes = 0;
 };
 
+// Hashes every chunk in one batch (so SHA-1 runs 16 chunks per pass),
+// then dedups in chunk order.
 [[nodiscard]] inline LocalDedupResult local_dedup(
     const chunk::Chunker& chunker, const hash::ChunkHasher& hasher) {
   LocalDedupResult out;
-  out.chunk_fps.reserve(chunker.count());
-  out.index_of.reserve(chunker.count());
-  for (std::size_t i = 0; i < chunker.count(); ++i) {
-    const auto bytes = chunker.bytes(i);
-    const auto fp = hasher.fingerprint(bytes);
-    out.chunk_fps.push_back(fp);
-    out.total_bytes += bytes.size();
+  const std::size_t n = chunker.count();
+  std::vector<std::span<const std::uint8_t>> chunks(n);
+  for (std::size_t i = 0; i < n; ++i) chunks[i] = chunker.bytes(i);
+  out.chunk_fps.resize(n);
+  hasher.fingerprint_batch(chunks, out.chunk_fps);
+
+  out.index_of.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t bytes = chunks[i].size();
+    out.total_bytes += bytes;
     const auto [it, inserted] = out.index_of.try_emplace(
-        fp, static_cast<std::uint32_t>(out.unique_chunks.size()));
+        out.chunk_fps[i], static_cast<std::uint32_t>(out.unique_chunks.size()));
     if (inserted) {
       out.unique_chunks.push_back(static_cast<std::uint32_t>(i));
-      out.unique_bytes += bytes.size();
+      out.unique_bytes += bytes;
     }
   }
   return out;

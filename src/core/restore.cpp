@@ -77,6 +77,11 @@ RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
     throw ManifestLostError(rank, scan.consulted, scan.failed);
   }
 
+  if (!manifest->check_invariants()) {
+    throw std::runtime_error("restore: rank " + std::to_string(rank) +
+                             "'s manifest does not tile its segments");
+  }
+
   RestoreResult out;
   out.segments.reserve(manifest->segment_sizes.size());
   for (const auto size : manifest->segment_sizes) {
@@ -123,6 +128,10 @@ RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
     }
     if (!found) {
       throw ChunkLostError(entry.fp, rank, scan.consulted, scan.failed);
+    }
+    if (payload.size() >
+        manifest->segment_sizes[seg] - out.segments[seg].size()) {
+      throw std::runtime_error("restore: chunk overruns its segment");
     }
     if (payload.size() != entry.length) {
       throw std::runtime_error("restore: chunk length mismatch (collision?)");

@@ -61,6 +61,10 @@ core::RestoreResult pfs_restore(const PfsStore& pfs, int rank) {
   const auto manifest = pfs.manifest_for(rank);
   // The PFS is one logical store: 1 consulted, 0 failed.
   if (!manifest.has_value()) throw core::ManifestLostError(rank, 1, 0);
+  if (!manifest->check_invariants()) {
+    throw std::runtime_error(
+        "pfs_restore: manifest does not tile its segments");
+  }
 
   core::RestoreResult out;
   out.segments.reserve(manifest->segment_sizes.size());

@@ -1,11 +1,13 @@
 #include "hash/hasher.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "hash/crc32c.hpp"
 #include "hash/fnv.hpp"
 #include "hash/sha1.hpp"
 #include "hash/xx64.hpp"
+#include "kernels/kernels.hpp"
 
 namespace collrep::hash {
 
@@ -31,6 +33,17 @@ HashKind parse_hash_kind(std::string_view name) {
   throw std::invalid_argument("unknown hash kind: " + std::string(name));
 }
 
+void ChunkHasher::fingerprint_batch(
+    std::span<const std::span<const std::uint8_t>> chunks,
+    std::span<Fingerprint> out) const {
+  if (out.size() != chunks.size()) {
+    throw std::invalid_argument("fingerprint_batch: output size mismatch");
+  }
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    out[i] = fingerprint(chunks[i]);
+  }
+}
+
 namespace {
 
 class Sha1Hasher final : public ChunkHasher {
@@ -38,6 +51,45 @@ class Sha1Hasher final : public ChunkHasher {
   Fingerprint fingerprint(std::span<const std::uint8_t> chunk) const override {
     const auto digest = Sha1::digest(chunk);
     return Fingerprint{std::span<const std::uint8_t>{digest}};
+  }
+
+  // Lanes are filled, in index order, with the chunks whose length is the
+  // batch's longest (the chunk size under fixed-size chunking).  Chunks of
+  // any other length, and a last group of fewer than 16, take the
+  // single-stream path.
+  void fingerprint_batch(std::span<const std::span<const std::uint8_t>> chunks,
+                         std::span<Fingerprint> out) const override {
+    if (out.size() != chunks.size()) {
+      throw std::invalid_argument("fingerprint_batch: output size mismatch");
+    }
+    if (!kernels::dispatch().sha1_x16_wins) {
+      ChunkHasher::fingerprint_batch(chunks, out);
+      return;
+    }
+    std::size_t lane_bytes = 0;
+    for (const auto& c : chunks) lane_bytes = std::max(lane_bytes, c.size());
+
+    std::size_t group[Sha1::kLanes];
+    const std::uint8_t* lanes[Sha1::kLanes];
+    std::array<std::uint8_t, Sha1::kDigestBytes> digests[Sha1::kLanes];
+    std::size_t filled = 0;
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      if (chunks[i].size() != lane_bytes) {
+        out[i] = fingerprint(chunks[i]);
+        continue;
+      }
+      group[filled] = i;
+      lanes[filled] = chunks[i].data();
+      if (++filled < Sha1::kLanes) continue;
+      Sha1::digest_x16(lanes, lane_bytes, digests);
+      for (std::size_t l = 0; l < Sha1::kLanes; ++l) {
+        out[group[l]] = Fingerprint{std::span<const std::uint8_t>{digests[l]}};
+      }
+      filled = 0;
+    }
+    for (std::size_t l = 0; l < filled; ++l) {
+      out[group[l]] = fingerprint(chunks[group[l]]);
+    }
   }
   HashKind kind() const noexcept override { return HashKind::kSha1; }
   double modeled_bytes_per_second() const noexcept override { return 300e6; }

@@ -32,6 +32,12 @@ class ChunkHasher {
 
   [[nodiscard]] virtual Fingerprint fingerprint(
       std::span<const std::uint8_t> chunk) const = 0;
+  // out[i] = fingerprint(chunks[i]) for every i; out.size() must equal
+  // chunks.size() (std::invalid_argument otherwise).  The base loops over
+  // fingerprint(); SHA-1 hashes runs of equal-length chunks 16 at a time.
+  virtual void fingerprint_batch(
+      std::span<const std::span<const std::uint8_t>> chunks,
+      std::span<Fingerprint> out) const;
   [[nodiscard]] virtual HashKind kind() const noexcept = 0;
   // Approximate hashing throughput in bytes/second on the paper's testbed
   // CPU (Xeon X5670); consumed by the simtime cost model.

@@ -6,8 +6,40 @@
 
 namespace collrep::hash {
 
+namespace {
+
+constexpr std::array<std::uint32_t, 5> kInitialState = {
+    0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+
+// Pads a message's last partial block: `block` holds its final `used`
+// bytes (used < 64), and this appends the 0x80 marker, the zero fill and
+// the big-endian bit length of a `total_bytes` message.  Returns the
+// number of 64-byte blocks written (2 when fewer than 9 bytes were free),
+// so `block` must have room for 128 bytes.
+std::size_t pad(std::uint8_t* block, std::size_t used,
+                std::uint64_t total_bytes) noexcept {
+  const std::size_t nblocks = used + 9 > Sha1::kBlockBytes ? 2 : 1;
+  const std::size_t end = nblocks * Sha1::kBlockBytes;
+  block[used] = 0x80;
+  std::memset(block + used + 1, 0, end - 8 - used - 1);
+  const std::uint64_t bit_len = total_bytes * 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    block[end - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  return nblocks;
+}
+
+void store_be(std::uint32_t word, std::uint8_t* out) noexcept {
+  out[0] = static_cast<std::uint8_t>(word >> 24);
+  out[1] = static_cast<std::uint8_t>(word >> 16);
+  out[2] = static_cast<std::uint8_t>(word >> 8);
+  out[3] = static_cast<std::uint8_t>(word);
+}
+
+}  // namespace
+
 void Sha1::reset() noexcept {
-  state_ = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+  state_ = kInitialState;
   total_bytes_ = 0;
   buffered_ = 0;
 }
@@ -45,31 +77,11 @@ void Sha1::update(std::span<const std::uint8_t> data) noexcept {
 }
 
 void Sha1::finish(std::span<std::uint8_t, kDigestBytes> digest) noexcept {
-  const std::uint64_t bit_len = total_bytes_ * 8;
-
-  // Padding is written straight into the block buffer: 0x80, zero fill up
-  // to byte 56, then the big-endian bit length.  With fewer than 9 bytes
-  // left in the buffered block the padding spills into a second block.
-  const kernels::Sha1BlocksFn compress = kernels::dispatch().sha1_blocks;
-  buffer_[buffered_++] = 0x80;
-  if (buffered_ > kBlockBytes - 8) {
-    std::memset(buffer_.data() + buffered_, 0, kBlockBytes - buffered_);
-    compress(state_.data(), buffer_.data(), 1);
-    buffered_ = 0;
-  }
-  std::memset(buffer_.data() + buffered_, 0, kBlockBytes - 8 - buffered_);
-  for (std::size_t i = 0; i < 8; ++i) {
-    buffer_[kBlockBytes - 8 + i] =
-        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  compress(state_.data(), buffer_.data(), 1);
-
-  for (int i = 0; i < 5; ++i) {
-    digest[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    digest[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    digest[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    digest[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
+  std::uint8_t tail[2 * kBlockBytes];
+  std::memcpy(tail, buffer_.data(), buffered_);
+  const std::size_t nblocks = pad(tail, buffered_, total_bytes_);
+  kernels::dispatch().sha1_blocks(state_.data(), tail, nblocks);
+  for (std::size_t i = 0; i < 5; ++i) store_be(state_[i], &digest[4 * i]);
 }
 
 std::array<std::uint8_t, Sha1::kDigestBytes> Sha1::digest(
@@ -79,6 +91,38 @@ std::array<std::uint8_t, Sha1::kDigestBytes> Sha1::digest(
   std::array<std::uint8_t, kDigestBytes> out{};
   h.finish(out);
   return out;
+}
+
+void Sha1::digest_x16(
+    const std::uint8_t* const lanes[kLanes], std::size_t length,
+    std::array<std::uint8_t, kDigestBytes> out[kLanes]) noexcept {
+  static_assert(kLanes == kernels::kSha1Lanes);
+  const kernels::Sha1x16Fn compress = kernels::dispatch().sha1_x16;
+  std::uint32_t state[5][kLanes];
+  for (std::size_t w = 0; w < 5; ++w) {
+    for (std::size_t l = 0; l < kLanes; ++l) state[w][l] = kInitialState[w];
+  }
+  const std::size_t full_blocks = length / kBlockBytes;
+  if (full_blocks > 0) compress(state, lanes, full_blocks);
+
+  // Every lane has the same tail length, so the padded tails line up and
+  // take one more call of one or two blocks.
+  const std::size_t rem = length - full_blocks * kBlockBytes;
+  std::uint8_t tails[kLanes][2 * kBlockBytes];
+  const std::uint8_t* tail_ptrs[kLanes];
+  std::size_t tail_blocks = 0;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    if (rem > 0) {
+      std::memcpy(tails[l], lanes[l] + full_blocks * kBlockBytes, rem);
+    }
+    tail_blocks = pad(tails[l], rem, length);
+    tail_ptrs[l] = tails[l];
+  }
+  compress(state, tail_ptrs, tail_blocks);
+
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    for (std::size_t w = 0; w < 5; ++w) store_be(state[w][l], &out[l][4 * w]);
+  }
 }
 
 }  // namespace collrep::hash

@@ -2,7 +2,9 @@
 // crypto-grade fingerprint function, mirroring the paper's use of OpenSSL
 // SHA1.  Supports both one-shot and streaming use.  The compression
 // function dispatches through src/kernels (SHA-NI or block-pipelined
-// scalar, COLLREP_KERNELS=scalar forces the reference rounds loop).
+// scalar, COLLREP_KERNELS=scalar forces the reference rounds loop);
+// digest_x16 hashes 16 equal-length messages side by side through the
+// kernels' 16-lane slot.
 #pragma once
 
 #include <array>
@@ -27,6 +29,14 @@ class Sha1 {
 
   static std::array<std::uint8_t, kDigestBytes> digest(
       std::span<const std::uint8_t> data) noexcept;
+
+  // out[l] = digest of the `length` bytes at lanes[l], for all 16 lanes at
+  // once.  Lanes may alias; each lane's padding block is built in its own
+  // scratch buffer, so the inputs are only read.
+  static constexpr std::size_t kLanes = 16;
+  static void digest_x16(
+      const std::uint8_t* const lanes[kLanes], std::size_t length,
+      std::array<std::uint8_t, kDigestBytes> out[kLanes]) noexcept;
 
  private:
   std::array<std::uint32_t, 5> state_{};

@@ -26,11 +26,14 @@ CpuFeatures probe() noexcept {
     const bool osxsave = (ecx & bit_OSXSAVE) != 0;
     const bool avx = (ecx & bit_AVX) != 0;
     bool ymm_enabled = false;
+    bool zmm_enabled = false;
     if (osxsave && avx) {
       std::uint32_t xcr0_lo = 0;
       std::uint32_t xcr0_hi = 0;
       __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
       ymm_enabled = (xcr0_lo & 0x6u) == 0x6u;  // XMM + YMM state saved
+      // AVX-512 also needs opmask, ZMM0-15 upper halves and ZMM16-31.
+      zmm_enabled = (xcr0_lo & 0xE6u) == 0xE6u;
     }
     unsigned eax7 = 0;
     unsigned ebx7 = 0;
@@ -39,6 +42,8 @@ CpuFeatures probe() noexcept {
     if (__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7) != 0) {
       f.avx2 = ymm_enabled && (ebx7 & bit_AVX2) != 0;
       f.sha_ni = (ebx7 & bit_SHA) != 0;
+      f.avx512bw = zmm_enabled && (ebx7 & bit_AVX512F) != 0 &&
+                   (ebx7 & bit_AVX512BW) != 0;
     }
   }
 #endif
@@ -53,6 +58,7 @@ Dispatch resolve() noexcept {
   const auto gf = gf_variants();
   const auto crc = crc32c_variants();
   const auto sha = sha1_variants();
+  const auto sha_x16 = sha1_x16_variants();
 
   const auto pick = [force_scalar](const auto& variants) -> std::size_t {
     if (force_scalar) return 0;
@@ -72,9 +78,16 @@ Dispatch resolve() noexcept {
   d.crc32c = c.fn;
   d.crc32c_name = c.name;
 
-  const auto& s = sha[pick(sha)];
+  const std::size_t s_pick = pick(sha);
+  const auto& s = sha[s_pick];
   d.sha1_blocks = s.fn;
   d.sha1_name = s.name;
+
+  const std::size_t x_pick = pick(sha_x16);
+  const auto& x = sha_x16[x_pick];
+  d.sha1_x16 = x.fn;
+  d.sha1_x16_name = x.name;
+  d.sha1_x16_wins = x_pick > 0 || s_pick == 0;
   return d;
 }
 

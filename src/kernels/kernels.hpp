@@ -2,7 +2,8 @@
 //
 // Every byte a dump moves passes through a handful of byte-bashing loops:
 // GF(256) multiply-accumulate (Reed-Solomon encode/decode), CRC-32C, and
-// the SHA-1 compression function.  Each kernel ships as a list of
+// the SHA-1 compression function (one stream, and sixteen streams side by
+// side for batched chunk fingerprinting).  Each kernel ships as a list of
 // *variants* — index 0 is the portable scalar reference, higher indices
 // are SIMD implementations gated on CPU features probed once via CPUID —
 // and the pipeline calls through a function pointer resolved exactly once
@@ -29,6 +30,7 @@ struct CpuFeatures {
   bool avx2 = false;    // includes the OS-enabled-YMM (XGETBV) check
   bool sha_ni = false;
   bool pclmul = false;  // PCLMULQDQ (carry-less multiply)
+  bool avx512bw = false;  // AVX-512 F+BW, includes the OS-enabled-ZMM check
 };
 
 // CPUID probe, performed once and cached.
@@ -48,6 +50,15 @@ using Crc32cFn = std::uint32_t (*)(std::uint32_t crc, const std::uint8_t* data,
 // blocks (block-pipelined: one call per update, not per block).
 using Sha1BlocksFn = void (*)(std::uint32_t state[5],
                               const std::uint8_t* blocks, std::size_t nblocks);
+// Runs the SHA-1 compression function over kSha1Lanes independent
+// streams: lane l folds `nblocks` consecutive 64-byte blocks starting at
+// lanes[l] into state[0..4][l].  The state is word-major (one row per
+// SHA-1 word, one column per lane).  Lane pointers need no alignment, may
+// alias, and may lie arbitrarily far apart.
+inline constexpr std::size_t kSha1Lanes = 16;
+using Sha1x16Fn = void (*)(std::uint32_t state[5][kSha1Lanes],
+                           const std::uint8_t* const lanes[kSha1Lanes],
+                           std::size_t nblocks);
 
 struct GfVariant {
   const char* name;  // "scalar", "ssse3", "avx2"
@@ -68,11 +79,18 @@ struct Sha1Variant {
   Sha1BlocksFn fn;
 };
 
+struct Sha1x16Variant {
+  const char* name;  // "scalar", "avx512"
+  bool available;
+  Sha1x16Fn fn;
+};
+
 // Variant lists, scalar reference first, fastest last.  Entries with
 // available == false are compiled in but must not be called.
 [[nodiscard]] std::span<const GfVariant> gf_variants() noexcept;
 [[nodiscard]] std::span<const Crc32cVariant> crc32c_variants() noexcept;
 [[nodiscard]] std::span<const Sha1Variant> sha1_variants() noexcept;
+[[nodiscard]] std::span<const Sha1x16Variant> sha1_x16_variants() noexcept;
 
 // The active kernel set: best available variant per kernel, or the scalar
 // references when COLLREP_KERNELS=scalar.  Resolved on first use (thread
@@ -82,9 +100,17 @@ struct Dispatch {
   GfMulFn gf_mul;
   Crc32cFn crc32c;
   Sha1BlocksFn sha1_blocks;
+  Sha1x16Fn sha1_x16;
+  // True when sixteen equal-length streams through sha1_x16 cost no more
+  // per byte than one at a time through sha1_blocks: a SIMD lane variant
+  // is active, or both kernels are the scalar reference.  Without AVX-512
+  // the scalar lane variant would lose to SHA-NI, so batch hashing keeps
+  // to the single-stream path.
+  bool sha1_x16_wins;
   const char* gf_name;
   const char* crc32c_name;
   const char* sha1_name;
+  const char* sha1_x16_name;
 };
 
 [[nodiscard]] const Dispatch& dispatch() noexcept;

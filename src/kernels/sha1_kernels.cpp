@@ -11,6 +11,15 @@
 // All variants process `nblocks` consecutive 64-byte blocks per call so
 // streaming updates pay the dispatch indirection once per update, not
 // once per block.
+//
+// The sha1_x16 slot hashes 16 independent streams side by side:
+//
+//  * "scalar" — each lane in turn through the scalar reference.
+//  * "avx512" — one ZMM register per SHA-1 word holds that word for all
+//    16 lanes.  Each lane's block is loaded through its own pointer and
+//    the 16x16 word matrix is transposed in registers, then byte-swapped
+//    with one shuffle; the rounds use VPROLD rotates and VPTERNLOGD for
+//    Ch/Parity/Maj and the three-way schedule XOR.
 #include "kernels/kernels.hpp"
 
 #include <bit>
@@ -228,6 +237,19 @@ void sha1_blocks_pipelined(std::uint32_t state[5], const std::uint8_t* blocks,
   }
 }
 
+// -- 16-lane scalar -----------------------------------------------------------
+
+void sha1_x16_scalar(std::uint32_t state[5][kSha1Lanes],
+                     const std::uint8_t* const lanes[kSha1Lanes],
+                     std::size_t nblocks) noexcept {
+  for (std::size_t l = 0; l < kSha1Lanes; ++l) {
+    std::uint32_t s[5];
+    for (int w = 0; w < 5; ++w) s[w] = state[w][l];
+    sha1_blocks_scalar(s, lanes[l], nblocks);
+    for (int w = 0; w < 5; ++w) state[w][l] = s[w];
+  }
+}
+
 // -- SHA-NI -------------------------------------------------------------------
 
 #ifdef COLLREP_KERNELS_SHA_X86
@@ -423,6 +445,119 @@ __attribute__((target("sha,ssse3,sse4.1"))) void sha1_blocks_shani(
   state[4] = static_cast<std::uint32_t>(_mm_extract_epi32(e0, 3));
 }
 
+// -- 16-lane AVX-512 ----------------------------------------------------------
+
+// GCC 12's AVX-512 intrinsics pass _mm512_undefined_epi32() as the
+// unused merge source, which -Wuninitialized flags once inlined here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+#define COLLREP_AVX512 \
+  __attribute__((target("avx512f,avx512bw"), always_inline))
+
+// Round-function selector for VPTERNLOGD: Ch = b ? c : d, Parity =
+// b ^ c ^ d, Maj = majority(b, c, d).
+constexpr int kCh = 0xCA;
+constexpr int kParity = 0x96;
+constexpr int kMaj = 0xE8;
+
+// Transposes 16 rows of 16 words: on return r[t] holds word t of every
+// input row, row i in element i.
+COLLREP_AVX512 inline void transpose16(__m512i r[16]) noexcept {
+  __m512i t[16];
+  for (int i = 0; i < 16; i += 2) {
+    t[i] = _mm512_unpacklo_epi32(r[i], r[i + 1]);
+    t[i + 1] = _mm512_unpackhi_epi32(r[i], r[i + 1]);
+  }
+  // u[4g + j]: word 4k + j of rows 4g..4g+3, in 128-bit chunk k.
+  __m512i u[16];
+  for (int g = 0; g < 4; ++g) {
+    const __m512i* q = t + 4 * g;
+    u[4 * g] = _mm512_unpacklo_epi64(q[0], q[2]);
+    u[4 * g + 1] = _mm512_unpackhi_epi64(q[0], q[2]);
+    u[4 * g + 2] = _mm512_unpacklo_epi64(q[1], q[3]);
+    u[4 * g + 3] = _mm512_unpackhi_epi64(q[1], q[3]);
+  }
+  // Gather chunk k of u[j], u[4 + j], u[8 + j], u[12 + j] into r[4k + j].
+  for (int j = 0; j < 4; ++j) {
+    const __m512i even01 = _mm512_shuffle_i32x4(u[j], u[4 + j], 0x88);
+    const __m512i odd01 = _mm512_shuffle_i32x4(u[j], u[4 + j], 0xDD);
+    const __m512i even23 = _mm512_shuffle_i32x4(u[8 + j], u[12 + j], 0x88);
+    const __m512i odd23 = _mm512_shuffle_i32x4(u[8 + j], u[12 + j], 0xDD);
+    r[j] = _mm512_shuffle_i32x4(even01, even23, 0x88);
+    r[8 + j] = _mm512_shuffle_i32x4(even01, even23, 0xDD);
+    r[4 + j] = _mm512_shuffle_i32x4(odd01, odd23, 0x88);
+    r[12 + j] = _mm512_shuffle_i32x4(odd01, odd23, 0xDD);
+  }
+}
+
+// Rounds [kFirst, kFirst + 20): one round function kF, one constant k.
+// The a..e rotation is done by value; once unrolled, the compiler renames
+// registers instead of moving them.
+template <int kF, int kFirst>
+COLLREP_AVX512 inline void rounds20(__m512i& a, __m512i& b, __m512i& c,
+                                    __m512i& d, __m512i& e, __m512i w[16],
+                                    __m512i k) noexcept {
+#pragma GCC unroll 20
+  for (int i = kFirst; i < kFirst + 20; ++i) {
+    if (i >= 16) {
+      const __m512i x = _mm512_ternarylogic_epi32(
+          w[(i + 13) & 15], w[(i + 8) & 15], w[(i + 2) & 15], kParity);
+      w[i & 15] = _mm512_rol_epi32(_mm512_xor_si512(x, w[i & 15]), 1);
+    }
+    const __m512i f = _mm512_ternarylogic_epi32(b, c, d, kF);
+    const __m512i t = _mm512_add_epi32(
+        _mm512_add_epi32(_mm512_rol_epi32(a, 5), f),
+        _mm512_add_epi32(_mm512_add_epi32(e, k), w[i & 15]));
+    e = d;
+    d = c;
+    c = _mm512_rol_epi32(b, 30);
+    b = a;
+    a = t;
+  }
+}
+
+__attribute__((target("avx512f,avx512bw"))) void sha1_x16_avx512(
+    std::uint32_t state[5][kSha1Lanes],
+    const std::uint8_t* const lanes[kSha1Lanes], std::size_t nblocks) noexcept {
+  __m512i h[5];
+  for (int i = 0; i < 5; ++i) h[i] = _mm512_loadu_si512(state[i]);
+  // Reverses the bytes of every 32-bit word (big-endian message words).
+  const __m512i bswap = _mm512_broadcast_i32x4(
+      _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3));
+
+  for (std::size_t blk = 0; blk < nblocks; ++blk) {
+    __m512i w[16];
+    for (std::size_t l = 0; l < kSha1Lanes; ++l) {
+      w[l] = _mm512_loadu_si512(lanes[l] + blk * 64);
+    }
+    transpose16(w);
+    for (auto& v : w) v = _mm512_shuffle_epi8(v, bswap);
+
+    __m512i a = h[0];
+    __m512i b = h[1];
+    __m512i c = h[2];
+    __m512i d = h[3];
+    __m512i e = h[4];
+    rounds20<kCh, 0>(a, b, c, d, e, w, _mm512_set1_epi32(0x5A827999));
+    rounds20<kParity, 20>(a, b, c, d, e, w, _mm512_set1_epi32(0x6ED9EBA1));
+    rounds20<kMaj, 40>(a, b, c, d, e, w,
+                       _mm512_set1_epi32(static_cast<int>(0x8F1BBCDCu)));
+    rounds20<kParity, 60>(a, b, c, d, e, w,
+                          _mm512_set1_epi32(static_cast<int>(0xCA62C1D6u)));
+    h[0] = _mm512_add_epi32(h[0], a);
+    h[1] = _mm512_add_epi32(h[1], b);
+    h[2] = _mm512_add_epi32(h[2], c);
+    h[3] = _mm512_add_epi32(h[3], d);
+    h[4] = _mm512_add_epi32(h[4], e);
+  }
+  for (int i = 0; i < 5; ++i) _mm512_storeu_si512(state[i], h[i]);
+}
+
+#undef COLLREP_AVX512
+#pragma GCC diagnostic pop
+
 #endif  // COLLREP_KERNELS_SHA_X86
 
 }  // namespace
@@ -433,6 +568,16 @@ std::span<const Sha1Variant> sha1_variants() noexcept {
       {"pipelined", true, &sha1_blocks_pipelined},
 #ifdef COLLREP_KERNELS_SHA_X86
       {"shani", cpu_features().sha_ni, &sha1_blocks_shani},
+#endif
+  };
+  return variants;
+}
+
+std::span<const Sha1x16Variant> sha1_x16_variants() noexcept {
+  static const Sha1x16Variant variants[] = {
+      {"scalar", true, &sha1_x16_scalar},
+#ifdef COLLREP_KERNELS_SHA_X86
+      {"avx512", cpu_features().avx512bw, &sha1_x16_avx512},
 #endif
   };
   return variants;

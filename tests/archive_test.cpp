@@ -130,16 +130,28 @@ TEST(Archive, ManifestRoundTrip) {
   m.owner_rank = 11;
   m.epoch = 42;
   m.segment_sizes = {4096, 1024};
-  m.entries = {{hash::Fingerprint::from_u64(1), 256},
-               {hash::Fingerprint::from_u64(2), 128}};
+  m.entries = {{hash::Fingerprint::from_u64(1), 4096},
+               {hash::Fingerprint::from_u64(2), 1024}};
   const auto got = round_trip(m);
   EXPECT_EQ(got.owner_rank, 11);
   EXPECT_EQ(got.epoch, 42u);
   EXPECT_EQ(got.segment_sizes, m.segment_sizes);
   ASSERT_EQ(got.entries.size(), 2u);
   EXPECT_EQ(got.entries[0].fp, m.entries[0].fp);
-  EXPECT_EQ(got.entries[1].length, 128u);
+  EXPECT_EQ(got.entries[1].length, 1024u);
   EXPECT_EQ(got.total_bytes(), 5120u);
+}
+
+TEST(Archive, ManifestLoadRejectsEntriesThatDoNotTileSegments) {
+  chunk::Manifest m;
+  m.segment_sizes = {1ull << 62};
+  EXPECT_THROW((void)from_bytes<chunk::Manifest>(to_bytes(m)),
+               std::runtime_error);
+  m.segment_sizes = {4096, 1024};
+  m.entries = {{hash::Fingerprint::from_u64(1), 256},
+               {hash::Fingerprint::from_u64(2), 128}};
+  EXPECT_THROW((void)from_bytes<chunk::Manifest>(to_bytes(m)),
+               std::runtime_error);
 }
 
 TEST(Archive, ManifestWireBytesTracksEntryCount) {

@@ -192,6 +192,35 @@ TEST(ChunkStore, ClearResetsEverything) {
 
 // -- Manifests ----------------------------------------------------------------
 
+TEST(Manifest, CheckInvariantsAcceptsExactTilings) {
+  const auto fp = Fingerprint::from_u64(9);
+  chunk::Manifest m;
+  EXPECT_TRUE(m.check_invariants());  // nothing to restore
+  m.segment_sizes = {0, 300, 0, 4096};
+  m.entries = {{fp, 256}, {fp, 44}, {fp, 4096}};
+  EXPECT_TRUE(m.check_invariants());
+  m.entries.insert(m.entries.begin() + 1, chunk::ManifestEntry{fp, 0});
+  EXPECT_TRUE(m.check_invariants());  // an empty chunk inside a segment
+}
+
+TEST(Manifest, CheckInvariantsRejectsEverythingElse) {
+  const auto fp = Fingerprint::from_u64(9);
+  const auto bad = [&](std::vector<std::uint64_t> sizes,
+                       std::vector<std::uint32_t> lengths) {
+    chunk::Manifest m;
+    m.segment_sizes = std::move(sizes);
+    for (const auto len : lengths) m.entries.push_back({fp, len});
+    return !m.check_invariants();
+  };
+  EXPECT_TRUE(bad({1ull << 62}, {}));                   // unbacked segment
+  EXPECT_TRUE(bad({100}, {60}));                        // segment not full
+  EXPECT_TRUE(bad({100}, {60, 60}));                    // straddles the end
+  EXPECT_TRUE(bad({100, 100}, {60, 60, 80}));           // straddles a boundary
+  EXPECT_TRUE(bad({}, {1}));                            // no segment at all
+  EXPECT_TRUE(bad({100}, {100, 0}));                    // entry past the end
+  EXPECT_TRUE(bad({~0ull, ~0ull}, {0xFFFFFFFFu, 1}));  // would overflow
+}
+
 TEST(ChunkStore, ManifestNewestEpochWins) {
   ChunkStore store;
   chunk::Manifest old_m;

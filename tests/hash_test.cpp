@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "chunk/cdc.hpp"
+#include "chunk/dataset.hpp"
+#include "core/local_dedup.hpp"
 #include "hash/crc32c.hpp"
 #include "hash/fingerprint.hpp"
 #include "hash/fnv.hpp"
@@ -242,6 +246,172 @@ TEST(Fingerprint, TruncatesLongDigest) {
   std::string expected;
   for (int i = 0; i < 20; ++i) expected += "ab";
   EXPECT_EQ(fp.hex(), expected);
+}
+
+// -- Batched fingerprints ----------------------------------------------------
+//
+// SHA-1 hashes runs of equal-length chunks 16 at a time; every batch must
+// give exactly the per-chunk fingerprints.  ctest runs these suites once
+// more under COLLREP_KERNELS=scalar, which drives the same lane assembly
+// through the scalar 16-lane kernel.
+
+const std::vector<std::size_t> kBatchLengths = {0,   1,   55,  56,  63,  64,
+                                                65,  119, 120, 511, 512, 4096};
+
+// `count` chunks cut from `pool` at odd offsets, lengths drawn by
+// `length_of(i)`; every seventh chunk repeats an earlier span.
+template <typename LengthOf>
+std::vector<std::span<const std::uint8_t>> cut_chunks(
+    const std::vector<std::uint8_t>& pool, std::size_t count,
+    std::mt19937_64& rng, LengthOf length_of) {
+  std::vector<std::span<const std::uint8_t>> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i % 7 == 6) {
+      const auto repeat = out[i / 2];
+      out.push_back(repeat);
+      continue;
+    }
+    const std::size_t len = length_of(i);
+    const std::size_t off = 1 + 2 * (rng() % ((pool.size() - len) / 2 - 1));
+    out.push_back(std::span<const std::uint8_t>{pool}.subspan(off, len));
+  }
+  return out;
+}
+
+void expect_batch_matches(const ChunkHasher& hasher,
+                          std::span<const std::span<const std::uint8_t>> chunks,
+                          const std::string& what) {
+  std::vector<Fingerprint> got(chunks.size());
+  hasher.fingerprint_batch(chunks, got);
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    EXPECT_EQ(got[i], hasher.fingerprint(chunks[i]))
+        << what << " chunk=" << i << " of " << chunks.size()
+        << " len=" << chunks[i].size();
+  }
+}
+
+std::vector<std::uint8_t> random_pool(std::mt19937_64& rng, std::size_t n) {
+  std::vector<std::uint8_t> pool(n);
+  for (auto& b : pool) b = static_cast<std::uint8_t>(rng());
+  return pool;
+}
+
+TEST(Sha1Batch, EqualLengthBatchesMatchPerChunk) {
+  const auto& hasher = hasher_for(HashKind::kSha1);
+  std::mt19937_64 rng(0xBA7C01);
+  const auto pool = random_pool(rng, 3 * 4096);
+  for (const std::size_t len : kBatchLengths) {
+    for (std::size_t count = 0; count <= 40; ++count) {
+      const auto chunks =
+          cut_chunks(pool, count, rng, [len](std::size_t) { return len; });
+      expect_batch_matches(hasher, chunks, "len=" + std::to_string(len));
+    }
+  }
+}
+
+TEST(Sha1Batch, MixedLengthBatchesMatchPerChunk) {
+  const auto& hasher = hasher_for(HashKind::kSha1);
+  std::mt19937_64 rng(0xBA7C02);
+  const auto pool = random_pool(rng, 3 * 4096);
+  for (int trial = 0; trial < 3; ++trial) {
+    for (std::size_t count = 0; count <= 40; ++count) {
+      // Mostly the longest length, so lanes fill between the others.
+      const auto chunks = cut_chunks(pool, count, rng, [&](std::size_t) {
+        return rng() % 3 == 0 ? kBatchLengths[rng() % kBatchLengths.size()]
+                              : std::size_t{4096};
+      });
+      expect_batch_matches(hasher, chunks,
+                           "mixed trial=" + std::to_string(trial));
+    }
+  }
+}
+
+TEST(Sha1Batch, OutputSizeMismatchThrows) {
+  const std::vector<std::uint8_t> data(64, 7);
+  const std::vector<std::span<const std::uint8_t>> chunks(3, data);
+  std::vector<Fingerprint> out(2);
+  for (const auto kind : {HashKind::kSha1, HashKind::kXx64}) {
+    EXPECT_THROW(hasher_for(kind).fingerprint_batch(chunks, out),
+                 std::invalid_argument);
+  }
+}
+
+class BatchMatchesPerChunk : public ::testing::TestWithParam<HashKind> {};
+
+TEST_P(BatchMatchesPerChunk, AnyLengthsAnyCount) {
+  const auto& hasher = hasher_for(GetParam());
+  std::mt19937_64 rng(0xBA7C03);
+  const auto pool = random_pool(rng, 3 * 4096);
+  for (std::size_t count = 0; count <= 40; count += 3) {
+    const auto chunks = cut_chunks(pool, count, rng, [&](std::size_t) {
+      return kBatchLengths[rng() % kBatchLengths.size()];
+    });
+    expect_batch_matches(hasher, chunks, std::string(to_string(GetParam())));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, BatchMatchesPerChunk,
+                         ::testing::Values(HashKind::kSha1, HashKind::kXx64,
+                                           HashKind::kFnv64,
+                                           HashKind::kCrc32c));
+
+// local_dedup hashes in one batch and then dedups in chunk order; the
+// result must equal hashing and deduping one chunk at a time.
+void expect_dedup_matches_reference(const collrep::chunk::Chunker& chunker,
+                                    const std::string& what) {
+  const auto& hasher = hasher_for(HashKind::kSha1);
+  const auto got = collrep::core::local_dedup(chunker, hasher);
+
+  collrep::core::LocalDedupResult ref;
+  for (std::size_t i = 0; i < chunker.count(); ++i) {
+    const auto bytes = chunker.bytes(i);
+    const auto fp = hasher.fingerprint(bytes);
+    ref.chunk_fps.push_back(fp);
+    ref.total_bytes += bytes.size();
+    const auto next = static_cast<std::uint32_t>(ref.unique_chunks.size());
+    if (ref.index_of.try_emplace(fp, next).second) {
+      ref.unique_chunks.push_back(static_cast<std::uint32_t>(i));
+      ref.unique_bytes += bytes.size();
+    }
+  }
+  EXPECT_EQ(got.chunk_fps, ref.chunk_fps) << what;
+  EXPECT_EQ(got.unique_chunks, ref.unique_chunks) << what;
+  EXPECT_EQ(got.index_of, ref.index_of) << what;
+  EXPECT_EQ(got.unique_bytes, ref.unique_bytes) << what;
+  EXPECT_EQ(got.total_bytes, ref.total_bytes) << what;
+}
+
+TEST(LocalDedup, BatchedHashingMatchesOneAtATimeReference) {
+  std::mt19937_64 rng(0xBA7C04);
+  // Segments with tails of every kind, and repeated pages so that the
+  // dedup pass has duplicates to find (some of them inside one lane
+  // group).
+  std::vector<std::vector<std::uint8_t>> segments;
+  for (const std::size_t size : {std::size_t{40 * 512 + 17}, std::size_t{0},
+                                 std::size_t{300}, std::size_t{33 * 4096},
+                                 std::size_t{5 * 4096 + 4095}}) {
+    auto seg = random_pool(rng, size);
+    for (std::size_t off = 4096; off + 4096 <= size; off += 3 * 4096) {
+      std::memcpy(seg.data() + off, seg.data(), 4096);
+    }
+    for (std::size_t off = 512; off + 512 <= size; off += 5 * 512) {
+      std::memcpy(seg.data() + off, seg.data(), 512);
+    }
+    segments.push_back(std::move(seg));
+  }
+  collrep::chunk::Dataset ds;
+  for (const auto& seg : segments) ds.add_segment(seg);
+
+  for (const std::size_t chunk_bytes :
+       {std::size_t{64}, std::size_t{512}, std::size_t{4096}}) {
+    expect_dedup_matches_reference(collrep::chunk::Chunker(ds, chunk_bytes),
+                                   "fixed " + std::to_string(chunk_bytes));
+  }
+  collrep::chunk::CdcParams params;
+  expect_dedup_matches_reference(
+      collrep::chunk::Chunker(ds, params.max_bytes,
+                              collrep::chunk::content_defined_refs(ds, params)),
+      "cdc");
 }
 
 // -- Registry ----------------------------------------------------------------

@@ -1,16 +1,19 @@
 // Differential tests for the dispatched data-plane kernels (ctest label
 // `kernels`): every SIMD variant the CPU can run is checked against the
 // always-compiled scalar reference on randomized inputs, including
-// unaligned, short, and empty buffers.  The CDC skip-ahead path is checked
+// unaligned, short, and empty buffers (and, for the 16-lane SHA-1,
+// aliased lanes arbitrarily far apart).  The CDC skip-ahead path is checked
 // for cut-point identity against the reference loop, and the flat
 // BoundedFpSet's k-way merge is checked against a map-based reference
 // model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <random>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -188,6 +191,114 @@ TEST(KernelsSha1, BlockPipeliningMatchesBlockAtATime) {
     }
     for (int i = 0; i < 5; ++i) {
       EXPECT_EQ(batched[i], stepped[i]) << v.name << " word=" << i;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SHA-1, 16 lanes
+// ---------------------------------------------------------------------------
+
+// Lane inputs for one differential trial: each lane reads `nblocks`
+// blocks from its own pointer.  Lanes alternate between a heap buffer
+// and a stack buffer (gigabytes apart on a typical address-space layout),
+// start at odd offsets, and every fifth lane repeats an earlier lane's
+// pointer.
+struct LaneInput {
+  std::vector<std::vector<std::uint8_t>> heap;
+  const std::uint8_t* ptrs[kernels::kSha1Lanes] = {};
+  std::uint32_t state[5][kernels::kSha1Lanes] = {};
+};
+
+constexpr std::size_t kMaxLaneBlocks = 9;
+
+void fill_lanes(std::mt19937_64& rng, std::size_t nblocks,
+                std::uint8_t* stack_buf, std::size_t stack_lane_bytes,
+                LaneInput& in) {
+  for (std::size_t l = 0; l < kernels::kSha1Lanes; ++l) {
+    const std::size_t offset = l % 8;
+    if (l % 5 == 4) {
+      in.ptrs[l] = in.ptrs[l - 3];
+    } else if (l % 2 == 0) {
+      in.heap.push_back(random_bytes(rng, nblocks * 64 + 8));
+      in.ptrs[l] = in.heap.back().data() + offset;
+    } else {
+      std::uint8_t* lane = stack_buf + l * stack_lane_bytes;
+      for (std::size_t i = 0; i < nblocks * 64 + 8; ++i) {
+        lane[i] = static_cast<std::uint8_t>(rng());
+      }
+      in.ptrs[l] = lane + offset;
+    }
+    for (auto& row : in.state) row[l] = static_cast<std::uint32_t>(rng());
+  }
+}
+
+TEST(KernelsSha1x16, ScalarLanesMatchSingleStreamScalar) {
+  const auto variants = kernels::sha1_x16_variants();
+  ASSERT_FALSE(variants.empty());
+  ASSERT_STREQ(variants[0].name, "scalar");
+  const auto single = kernels::sha1_variants()[0].fn;
+
+  constexpr std::size_t kLaneBytes = kMaxLaneBlocks * 64 + 8;
+  std::uint8_t stack_buf[kernels::kSha1Lanes * kLaneBytes];
+  std::mt19937_64 rng(0xC0FFEE06);
+  for (std::size_t nblocks = 0; nblocks <= 3; ++nblocks) {
+    LaneInput in;
+    fill_lanes(rng, nblocks, stack_buf, kLaneBytes, in);
+    std::uint32_t lanes[5][kernels::kSha1Lanes];
+    std::memcpy(lanes, in.state, sizeof lanes);
+    variants[0].fn(lanes, in.ptrs, nblocks);
+    for (std::size_t l = 0; l < kernels::kSha1Lanes; ++l) {
+      std::uint32_t one[5];
+      for (int w = 0; w < 5; ++w) one[w] = in.state[w][l];
+      single(one, in.ptrs[l], nblocks);
+      for (int w = 0; w < 5; ++w) {
+        EXPECT_EQ(lanes[w][l], one[w])
+            << "nblocks=" << nblocks << " lane=" << l << " word=" << w;
+      }
+    }
+  }
+}
+
+TEST(KernelsSha1x16, VariantsMatchScalarRandomized) {
+  const auto variants = kernels::sha1_x16_variants();
+  ASSERT_FALSE(variants.empty());
+  ASSERT_STREQ(variants[0].name, "scalar");
+  std::string runnable;
+  std::string unavailable;
+  for (const auto& v : variants.subspan(1)) {
+    (v.available ? runnable : unavailable) += std::string(" ") + v.name;
+  }
+  if (runnable.empty()) {
+    GTEST_SKIP() << "sha1_x16 SIMD variant(s) not runnable on this CPU:"
+                 << unavailable;
+  }
+
+  // The stack buffer stays in this frame while the heap lanes come from
+  // the allocator, so some lane pairs are far more than 4 GiB apart.
+  constexpr std::size_t kLaneBytes = kMaxLaneBlocks * 64 + 8;
+  std::uint8_t stack_buf[kernels::kSha1Lanes * kLaneBytes];
+  std::mt19937_64 rng(0xC0FFEE07);
+  for (int trial = 0; trial < 4; ++trial) {
+    for (std::size_t nblocks = 1; nblocks <= kMaxLaneBlocks; ++nblocks) {
+      LaneInput in;
+      fill_lanes(rng, nblocks, stack_buf, kLaneBytes, in);
+      std::uint32_t expect[5][kernels::kSha1Lanes];
+      std::memcpy(expect, in.state, sizeof expect);
+      variants[0].fn(expect, in.ptrs, nblocks);
+      for (const auto& v : variants.subspan(1)) {
+        if (!v.available) continue;
+        std::uint32_t got[5][kernels::kSha1Lanes];
+        std::memcpy(got, in.state, sizeof got);
+        v.fn(got, in.ptrs, nblocks);
+        for (int w = 0; w < 5; ++w) {
+          for (std::size_t l = 0; l < kernels::kSha1Lanes; ++l) {
+            EXPECT_EQ(got[w][l], expect[w][l])
+                << v.name << " trial=" << trial << " nblocks=" << nblocks
+                << " lane=" << l << " word=" << w;
+          }
+        }
+      }
     }
   }
 }
@@ -630,8 +741,9 @@ TEST(KernelsDispatch, ActiveVariantsAreAvailable) {
   ASSERT_NE(d.gf_mul, nullptr);
   ASSERT_NE(d.crc32c, nullptr);
   ASSERT_NE(d.sha1_blocks, nullptr);
+  ASSERT_NE(d.sha1_x16, nullptr);
   // The dispatched names must correspond to available variants.
-  bool gf_ok = false, crc_ok = false, sha_ok = false;
+  bool gf_ok = false, crc_ok = false, sha_ok = false, x16_ok = false;
   for (const auto& v : kernels::gf_variants()) {
     if (v.available && std::string_view(v.name) == d.gf_name) gf_ok = true;
   }
@@ -643,9 +755,42 @@ TEST(KernelsDispatch, ActiveVariantsAreAvailable) {
   for (const auto& v : kernels::sha1_variants()) {
     if (v.available && std::string_view(v.name) == d.sha1_name) sha_ok = true;
   }
+  for (const auto& v : kernels::sha1_x16_variants()) {
+    if (v.available && std::string_view(v.name) == d.sha1_x16_name) {
+      x16_ok = true;
+    }
+  }
   EXPECT_TRUE(gf_ok) << d.gf_name;
   EXPECT_TRUE(crc_ok) << d.crc32c_name;
   EXPECT_TRUE(sha_ok) << d.sha1_name;
+  EXPECT_TRUE(x16_ok) << d.sha1_x16_name;
+}
+
+// COLLREP_KERNELS=scalar (ctest runs this suite once more with it set)
+// must select every scalar reference, including the 16-lane slot;
+// otherwise each slot takes its fastest runnable variant.
+TEST(KernelsDispatch, EnvironmentSelectsScalarOrFastest) {
+  const auto& d = kernels::dispatch();
+  const char* env = std::getenv("COLLREP_KERNELS");
+  if (env != nullptr && std::string_view(env) == "scalar") {
+    EXPECT_STREQ(d.gf_name, "scalar");
+    EXPECT_STREQ(d.crc32c_name, "scalar");
+    EXPECT_STREQ(d.sha1_name, "scalar");
+    EXPECT_STREQ(d.sha1_x16_name, "scalar");
+    EXPECT_TRUE(d.sha1_x16_wins);
+    return;
+  }
+  const auto fastest = [](const auto& variants) {
+    std::string_view best;
+    for (const auto& v : variants) {
+      if (v.available) best = v.name;
+    }
+    return best;
+  };
+  EXPECT_EQ(d.sha1_name, fastest(kernels::sha1_variants()));
+  EXPECT_EQ(d.sha1_x16_name, fastest(kernels::sha1_x16_variants()));
+  // The lanes are used only when a SIMD lane kernel runs here.
+  EXPECT_EQ(d.sha1_x16_wins, std::string_view(d.sha1_x16_name) != "scalar");
 }
 
 }  // namespace

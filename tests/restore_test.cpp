@@ -129,6 +129,58 @@ TEST(RestoreErrors, SurvivingManifestWithoutChunksMeansChunkLost) {
   EXPECT_THROW((void)core::restore_rank(ptrs, 0), core::ChunkLostError);
 }
 
+// A partner's newest manifest is untrusted input: one whose entries do
+// not tile its segments is a restore error, raised before any segment
+// buffer is sized from it (1 << 62 bytes would otherwise throw
+// length_error or bad_alloc from the reserve).
+TEST(RestoreErrors, ManifestThatDoesNotTileItsSegmentsIsRejected) {
+  constexpr int kRanks = 6;
+  auto run = private_identity_run(kRanks);
+  auto ptrs = test::store_ptrs(run);
+  const chunk::Manifest* newest = run.stores[1].manifest_for(0);
+  ASSERT_NE(newest, nullptr);
+  chunk::Manifest bad = *newest;
+  ++bad.epoch;
+  bad.segment_sizes = {1ull << 62};
+  run.stores[1].put_manifest(bad);
+
+  try {
+    (void)core::restore_rank(ptrs, 0);
+    FAIL() << "restore accepted a manifest that does not tile its segments";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("does not tile"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A stored payload longer than its manifest entry (a fingerprint
+// collision, or a corrupt store) is caught before it is copied past the
+// end of its segment.
+TEST(RestoreErrors, PayloadThatWouldOverrunItsSegmentIsRejected) {
+  constexpr int kRanks = 6;
+  auto run = private_identity_run(kRanks);
+  auto ptrs = test::store_ptrs(run);
+  const auto fp = hash::Fingerprint::from_u64(0xC0111DE);
+  const std::vector<std::uint8_t> oversized(2 * kPage, 0xAB);
+  run.stores[0].put(fp, oversized);
+  const chunk::Manifest* newest = run.stores[0].manifest_for(0);
+  ASSERT_NE(newest, nullptr);
+  chunk::Manifest bad = *newest;
+  ++bad.epoch;
+  bad.segment_sizes = {kPage};
+  bad.entries = {chunk::ManifestEntry{fp, kPage}};
+  ASSERT_TRUE(bad.check_invariants());
+  run.stores[0].put_manifest(bad);
+
+  try {
+    (void)core::restore_rank(ptrs, 0);
+    FAIL() << "restore copied a payload past the end of its segment";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("overruns"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(RestoreErrors, PartialFailurePropagatesCollectivelyWithoutDeadlock) {
   constexpr int kRanks = 6;
   auto run = private_identity_run(kRanks);
