@@ -36,7 +36,7 @@ else
 -Wnull-dereference -Wundef -Wredundant-decls"
   cmake -B "$lint_dir" -S . -DCOLLREP_WERROR=ON \
         -DCMAKE_CXX_FLAGS="$strict_flags" >/dev/null
-  cmake --build "$lint_dir" -j
+  cmake --build "$lint_dir" -j "$(nproc)"
 fi
 
 # Project-specific rules (collective matching, RMA epochs, layer DAG,

@@ -228,8 +228,9 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
   const std::uint64_t my_window_slots =
       keff > 1 ? window_chunks(mat, shuffle, my_pos) : 0;
 
-  simmpi::Window win = comm_.win_create(
-      static_cast<std::size_t>(my_window_slots) * slot_bytes);
+  Landing landing(store_,
+                  static_cast<std::size_t>(my_window_slots) * slot_bytes);
+  simmpi::Window win = comm_.win_create(landing.region());
 
   std::vector<std::uint64_t> slot_base(static_cast<std::size_t>(keff), 0);
   std::vector<std::uint64_t> slot_next(static_cast<std::size_t>(keff), 0);
@@ -281,11 +282,11 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
   // checker flag any stray put between here and the window free.
   win.fence(simmpi::kFenceNoSucceed);
 
-  // Parse the received records and stage them for local commit.  A dead
+  // Parse the received records and commit them where they landed.  A dead
   // store drops its incoming replicas on the floor (counted, not thrown):
   // the wire transfer already happened, only the device write is skipped.
   const bool commit_received = !store_.failed();
-  const auto region = win.local();
+  const auto region = landing.region();
   for (std::uint64_t s = 0; s < my_window_slots; ++s) {
     const std::uint8_t* rec = region.data() + s * slot_bytes;
     hash::Fingerprint fp{
@@ -299,17 +300,15 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
       stats.commit_skipped_bytes += len;
       continue;
     }
-    if (config_.payload_exchange) {
-      store_.put(fp,
-                 std::span<const std::uint8_t>{rec + kRecordHeaderBytes, len});
-    } else {
-      store_.put_accounted(fp, len);
-    }
+    landing.put(fp, static_cast<std::size_t>(s) * slot_bytes +
+                        kRecordHeaderBytes,
+                len);
     // The device writes the incoming replica stream as-is; content
     // addressing in ChunkStore is an index property, not a write saving.
     ++stats.stored_chunks;
     stats.stored_bytes += len;
   }
+  landing.commit();
   comm_.charge(static_cast<double>(stats.recv_bytes) /
                comm_.cluster().mem_bandwidth_bps);
   if (auto* t = comm_.obs()) {

@@ -46,6 +46,17 @@ std::uint64_t ReplicaHealthSet::merge_from(ReplicaHealthSet&& other) {
   return scanned;
 }
 
+bool ReplicaHealthSet::check_invariants() const {
+  for (const auto& [fp, e] : entries_) {
+    const bool satisfied = static_cast<std::int64_t>(e.count) >= k_;
+    if (e.count == 0 || (satisfied && !e.holders.empty())) return false;
+    for (std::size_t j = 0; j < e.holders.size(); ++j) {
+      if (e.holders[j] <= (j == 0 ? -1 : e.holders[j - 1])) return false;
+    }
+  }
+  return true;
+}
+
 void save(simmpi::OArchive& ar, const ReplicaHealthSet& s) {
   ar.put(s.k_);
   ar.put_size(s.entries_.size());
@@ -76,24 +87,18 @@ void load(simmpi::IArchive& ar, ReplicaHealthSet& s) {
     ReplicaHealthSet::Entry e;
     ar.get(e.count);
     ar.get(e.length);
-    if (e.count == 0) {
-      throw std::runtime_error("ReplicaHealthSet: zero replica count");
-    }
     const auto nholders = ar.get<std::uint16_t>();
     if (nholders > ar.remaining() / sizeof(std::int32_t)) {
       throw std::runtime_error("ReplicaHealthSet: holder count exceeds buffer");
     }
     e.holders.resize(nholders);
-    for (std::size_t j = 0; j < e.holders.size(); ++j) {
-      ar.get(e.holders[j]);
-      if (j > 0 && e.holders[j] <= e.holders[j - 1]) {
-        throw std::runtime_error(
-            "ReplicaHealthSet: holders not strictly ascending");
-      }
-    }
+    for (auto& holder : e.holders) ar.get(holder);
     if (!s.entries_.emplace(fp, std::move(e)).second) {
       throw std::runtime_error("ReplicaHealthSet: duplicate fingerprint");
     }
+  }
+  if (!s.check_invariants()) {
+    throw std::runtime_error("ReplicaHealthSet: invariants violated");
   }
 }
 
@@ -188,8 +193,8 @@ ShipStats ship_shortfall(simmpi::Comm& comm, chunk::ChunkStore& store,
   }
 
   ShipStats stats;
-  simmpi::Window win =
-      comm.win_create(static_cast<std::size_t>(window_bytes));
+  Landing landing(store, static_cast<std::size_t>(window_bytes));
+  simmpi::Window win = comm.win_create(landing.region());
   std::vector<std::uint8_t> record;
   for (const ShortfallSend& s : plan.sends) {
     if (s.sender != rank) continue;
@@ -216,19 +221,14 @@ ShipStats ship_shortfall(simmpi::Comm& comm, chunk::ChunkStore& store,
   // Final epoch of the shipping window: no RMA follows.
   win.fence(simmpi::kFenceNoSucceed);
 
-  const auto region = win.local();
   for (const ShortfallSend& s : plan.sends) {
     if (s.receiver != rank || store.failed()) continue;
-    if (plan.payload_mode) {
-      store.put(s.fp, std::span<const std::uint8_t>{
-                          region.data() + s.offset + kRecordHeaderBytes,
-                          s.length});
-    } else {
-      store.put_accounted(s.fp, s.length);
-    }
+    landing.put(s.fp, static_cast<std::size_t>(s.offset) + kRecordHeaderBytes,
+                s.length);
     ++stats.recv_chunks;
     stats.recv_bytes += s.length;
   }
+  landing.commit();
   win.free();
   comm.charge(static_cast<double>(stats.recv_bytes) /
                   cluster.mem_bandwidth_bps +

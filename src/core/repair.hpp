@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "chunk/store.hpp"
+#include "core/landing.hpp"
 #include "hash/fingerprint.hpp"
 #include "simmpi/archive.hpp"
 #include "simmpi/comm.hpp"
@@ -53,6 +54,10 @@ class ReplicaHealthSet {
   }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] int k() const noexcept { return k_; }
+
+  // Every entry has a nonzero count and strictly ascending, non-negative
+  // holders, and no holders once its count reached K.  load() checks it.
+  [[nodiscard]] bool check_invariants() const;
   [[nodiscard]] const std::unordered_map<hash::Fingerprint, Entry,
                                          hash::FingerprintHash>&
   entries() const noexcept {
@@ -70,9 +75,8 @@ class ReplicaHealthSet {
 
 void save(simmpi::OArchive& ar, const ReplicaHealthSet& s);
 // Treats the bytes as untrusted: the entry count is bounded by the
-// remaining input before anything is allocated, and a zero replica count,
-// a holder list that is not strictly ascending, or a repeated fingerprint
-// throws std::runtime_error.
+// remaining input before anything is allocated, and a repeated fingerprint
+// or a set that fails check_invariants() throws std::runtime_error.
 void load(simmpi::IArchive& ar, ReplicaHealthSet& s);
 
 // Collective audit helper (also used by the degraded dump path): every
@@ -82,12 +86,6 @@ void load(simmpi::IArchive& ar, ReplicaHealthSet& s);
 [[nodiscard]] ReplicaHealthSet allreduce_health(simmpi::Comm& comm,
                                                const chunk::ChunkStore& store,
                                                int k);
-
-// Window record layout shared by DUMP_OUTPUT and ship_shortfall: the
-// fingerprint, the u32 payload length, then the payload bytes (payload
-// exchanges only).
-inline constexpr std::size_t kRecordHeaderBytes =
-    hash::Fingerprint::kBytes + sizeof(std::uint32_t);
 
 // One replica copy to ship: `sender` holds the chunk, `receiver` is an
 // alive non-holder, and the record lands at `offset` in the receiver's

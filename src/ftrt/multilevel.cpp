@@ -32,8 +32,8 @@ PfsDumpStats pfs_dump(simmpi::Comm& comm, PfsStore& pfs,
     manifest.entries.push_back(
         chunk::ManifestEntry{local.chunk_fps[i], chunker.ref(i).length});
   }
-  pfs.put_manifest(std::move(manifest));
   stats.written_bytes += chunk::manifest_wire_bytes(manifest);
+  pfs.put_manifest(std::move(manifest));
 
   // The decoupled store ingests the *sum* of all ranks' writes at one
   // aggregate bandwidth — the scalability wall the paper's intro cites.

@@ -271,16 +271,26 @@ Comm::ShrinkInfo Comm::shrink() {
   return info;
 }
 
-Window Comm::win_create(std::size_t local_bytes, std::source_location loc) {
+Window Comm::win_create(std::span<std::uint8_t> region,
+                        std::source_location loc) {
   raise_pending_failure();
   const int id = next_win_id_++;
   check_collective(CollFingerprint{.op = CollOp::kWinCreate, .root = id}, loc);
-  if (check_) check_->on_win_create(rank_, id, local_bytes);
+  if (check_) check_->on_win_create(rank_, id, region.size());
   if (obs_) ++obs_->comm.windows_created;
-  auto& ws = state_->window_register(rank_, id, local_bytes);
-  barrier();  // all regions allocated before any put
+  auto& ws = state_->window_register(rank_, id, region);
+  barrier();  // all regions exposed before any put
   check_collective_done();
   return Window(*this, id, ws);
+}
+
+Window Comm::win_create(std::size_t local_bytes, std::source_location loc) {
+  std::vector<std::uint8_t> owned(local_bytes, 0);
+  // Moving a vector keeps its heap block, so the registered span stays
+  // valid once the Window holds the vector.
+  Window win = win_create(std::span<std::uint8_t>{owned}, loc);
+  win.owned_ = std::move(owned);
+  return win;
 }
 
 Window::Window(Comm& comm, int id, detail::WindowState& ws)
@@ -305,11 +315,15 @@ void Window::put(int target, std::size_t offset,
   }
   {
     std::scoped_lock lk(ws.locks[static_cast<std::size_t>(wtarget)]);
-    auto& buf = ws.buffers[static_cast<std::size_t>(wtarget)];
-    if (offset + data.size() > buf.size()) {
+    const auto& region = ws.regions[static_cast<std::size_t>(wtarget)];
+    if (offset + data.size() > region.bytes.size()) {
       throw std::out_of_range("simmpi: put beyond window bounds");
     }
-    std::memcpy(buf.data() + offset, data.data(), data.size());
+    // A detached region's owner released it (a rank that died mid-epoch):
+    // nobody reads it, and its memory may already be gone.
+    if (!region.detached && !data.empty()) {
+      std::memcpy(region.bytes.data() + offset, data.data(), data.size());
+    }
   }
   const auto& cl = comm_->cluster();
   const int src_node = cl.node_of(comm_->world_rank());
@@ -341,12 +355,12 @@ void Window::put(int target, std::size_t offset,
 
 std::span<std::uint8_t> Window::local() {
   if (!comm_) throw std::logic_error("simmpi: local() on invalid window");
-  return ws_->buffers[static_cast<std::size_t>(comm_->world_rank())];
+  return ws_->regions[static_cast<std::size_t>(comm_->world_rank())].bytes;
 }
 
 std::span<const std::uint8_t> Window::local() const {
   if (!comm_) throw std::logic_error("simmpi: local() on invalid window");
-  return ws_->buffers[static_cast<std::size_t>(comm_->world_rank())];
+  return ws_->regions[static_cast<std::size_t>(comm_->world_rank())].bytes;
 }
 
 void Window::fold_epoch() {

@@ -167,8 +167,16 @@ class Comm {
   ShrinkInfo shrink();
 
   // -- one-sided windows ----------------------------------------------------
-  // Collective: every rank exposes `local_bytes` of zero-initialized memory.
-  // Opens the window's first access epoch (see Window::fence).
+  // Collective: every rank exposes `region`, memory it owns (the
+  // MPI_Win_create analogue).  Puts land in those bytes; the caller keeps
+  // the memory alive and unmoved until the Window is freed or destroyed,
+  // and may reuse or free it afterwards.  Opens the window's first access
+  // epoch (see Window::fence).
+  [[nodiscard]] Window win_create(
+      std::span<std::uint8_t> region,
+      std::source_location loc = std::source_location::current());
+  // Collective: every rank exposes `local_bytes` of zero-initialized memory
+  // that the returned Window owns (the MPI_Win_allocate analogue).
   [[nodiscard]] Window win_create(
       std::size_t local_bytes,
       std::source_location loc = std::source_location::current());
@@ -307,12 +315,18 @@ class Window {
     std::swap(id_, o.id_);
     std::swap(ws_, o.ws_);
     std::swap(tally_, o.tally_);
+    std::swap(owned_, o.owned_);
   }
+
+  friend class Comm;  // the allocating win_create hands over owned_
 
   Comm* comm_ = nullptr;
   int id_ = -1;
   detail::WindowState* ws_ = nullptr;  // valid until every rank released
   EpochTally tally_;
+  // The region of an allocating win_create; freed only after release()
+  // detached it.  Empty for a window over caller memory.
+  std::vector<std::uint8_t> owned_;
 };
 
 }  // namespace collrep::simmpi

@@ -414,8 +414,8 @@ void RunState::complete_gather_locked(const std::vector<int>& group) {
   wake_gather_waiters();
 }
 
-detail::WindowState& RunState::window_register(int rank, int id,
-                                               std::size_t bytes) {
+detail::WindowState& RunState::window_register(
+    int rank, int id, std::span<std::uint8_t> region) {
   std::scoped_lock lk(win_mu_);
   if (static_cast<std::size_t>(id) >= windows_.size()) {
     windows_.resize(static_cast<std::size_t>(id) + 1);
@@ -425,7 +425,7 @@ detail::WindowState& RunState::window_register(int rank, int id,
     slot = std::make_unique<detail::WindowState>(
         nranks_, opts_.cluster.node_count(nranks_));
   }
-  slot->buffers[static_cast<std::size_t>(rank)].assign(bytes, 0);
+  slot->regions[static_cast<std::size_t>(rank)].bytes = region;
   return *slot;
 }
 
@@ -436,6 +436,10 @@ void RunState::window_free(int rank, int id) {
   auto& flag = ws->freed[static_cast<std::size_t>(rank)];
   if (flag) throw std::logic_error("simmpi: double free of window");
   flag = 1;
+  {
+    std::scoped_lock region_lk(ws->locks[static_cast<std::size_t>(rank)]);
+    ws->regions[static_cast<std::size_t>(rank)].detached = true;
+  }
   for (int r = 0; r < nranks_; ++r) {
     if (!ws->freed[static_cast<std::size_t>(r)] &&
         member_status(r) != detail::kMemberDead) {

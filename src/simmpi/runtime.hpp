@@ -170,7 +170,7 @@ class Mailbox {
 
 struct WindowState {
   explicit WindowState(int nranks, int nnodes)
-      : buffers(nranks),
+      : regions(static_cast<std::size_t>(nranks)),
         locks(std::make_unique<std::mutex[]>(static_cast<std::size_t>(nranks))),
         node_inter_sent(nnodes, 0),
         node_inter_recv(nnodes, 0),
@@ -179,8 +179,17 @@ struct WindowState {
         rank_recv_epoch(static_cast<std::size_t>(nranks), 0),
         freed(static_cast<std::size_t>(nranks), 0) {}
 
-  std::vector<std::vector<std::uint8_t>> buffers;  // one region per rank
-  std::unique_ptr<std::mutex[]> locks;             // guards buffers[i]
+  // One exposed region per rank, in memory the rank owns (Comm::win_create
+  // over caller memory).  A rank's release detaches its region under its
+  // lock: later puts into it are bounds-checked and counted but copy
+  // nothing, so the owner may free the memory as soon as its Window is gone
+  // (a rank unwinding from its death does so while peers still put).
+  struct Region {
+    std::span<std::uint8_t> bytes;
+    bool detached = false;
+  };
+  std::vector<Region> regions;
+  std::unique_ptr<std::mutex[]> locks;  // guards regions[i]
 
   // Per-epoch accounting for the bulk-synchronous transfer model: the
   // fence charges max over nodes of NIC-in / NIC-out / memory traffic.
@@ -363,10 +372,11 @@ class RunState {
 
   // Windows.  Creation is collective: every rank registers the same id
   // (ids come from a per-rank counter that advances identically on all
-  // ranks because win_create is collective) along with its region size.
-  // The returned state stays valid until every rank freed the window or
-  // died.
-  detail::WindowState& window_register(int rank, int id, std::size_t bytes);
+  // ranks because win_create is collective) along with its region, which
+  // stays the caller's memory.  The returned state stays valid until every
+  // rank freed the window or died; window_free detaches the caller's region.
+  detail::WindowState& window_register(int rank, int id,
+                                       std::span<std::uint8_t> region);
   void window_free(int rank, int id);
 
   [[nodiscard]] double barrier_cost() const noexcept;

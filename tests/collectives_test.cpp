@@ -350,8 +350,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RingCase{5, 2, -1, /*stall_victim=*/0},
                       RingCase{13, 3, /*shrink_victim=*/2,
                                /*stall_victim=*/9}),
-    [](const ::testing::TestParamInfo<RingCase>& info) {
-      const RingCase& c = info.param;
+    [](const ::testing::TestParamInfo<RingCase>& param_info) {
+      const RingCase& c = param_info.param;
       std::string name = "n" + std::to_string(c.n) + "_rpn" +
                          std::to_string(c.ranks_per_node);
       if (c.shrink_victim >= 0) {

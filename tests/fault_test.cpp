@@ -267,6 +267,210 @@ TEST(DegradedDump, MidExchangeStoreLossCompletesWithExactPattern) {
   EXPECT_EQ(min_replicas(run.stores), static_cast<std::size_t>(kK - 1));
 }
 
+// -- landing memory across dumps ------------------------------------------------
+
+// unique_pages with every fourth page changed per epoch: two consecutive
+// dumps share most chunks, so the second lands into populated stores.
+std::vector<std::uint8_t> epoch_pages(int rank, int epoch) {
+  auto data = unique_pages(rank);
+  for (std::size_t p = 0; p < kPages; p += 4) {
+    data[p * kPage] ^= static_cast<std::uint8_t>(epoch);
+  }
+  return data;
+}
+
+struct TwoDumpRun {
+  std::vector<core::DumpStats> second;
+  std::vector<chunk::ChunkStore> stores;
+  std::vector<std::size_t> spare;  // per rank, before the second dump
+};
+
+// Dumps epoch_pages(., 1) and then epoch_pages(., 2) into the same stores,
+// emptying them in between when `clear_between` (so each enters the second
+// dump holding the landing memory of the first).  `sched` is armed.
+TwoDumpRun run_two_dumps(fault::FaultSchedule& sched, bool clear_between) {
+  TwoDumpRun run;
+  run.second.resize(kRanks);
+  run.spare.resize(kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    run.stores.emplace_back(chunk::StoreMode::kPayload);
+  }
+  std::vector<chunk::ChunkStore*> ptrs;
+  for (auto& s : run.stores) ptrs.push_back(&s);
+  sched.arm(ptrs);
+  simmpi::RuntimeOptions opts;
+  opts.faults = &sched;
+  simmpi::Runtime rt(kRanks, opts);
+  rt.run([&](simmpi::Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    chunk::ChunkStore& store = run.stores[r];
+    for (int epoch = 1; epoch <= 2; ++epoch) {
+      if (epoch == 2) {
+        if (clear_between) store.clear();
+        run.spare[r] = store.spare_landing_bytes();
+      }
+      auto cfg = identity_ring_config();
+      cfg.epoch = static_cast<std::uint64_t>(epoch);
+      const auto data = epoch_pages(comm.rank(), epoch);
+      chunk::Dataset ds;
+      ds.add_segment(data);
+      core::Dumper dumper(comm, store, cfg);
+      auto stats = dumper.dump_output(ds, kK);
+      if (epoch == 2) run.second[r] = stats;
+    }
+  });
+  return run;
+}
+
+// Store 2 is lost after its puts are issued but before the fence of the
+// second dump, while every store holds the first dump's landing memory
+// (cleared stores) or its landed replicas (populated stores).  The
+// exchange owns the buffer it exposed, so a wipe cannot free memory a peer
+// is putting into.
+struct LandingFaultCase {
+  fault::FaultAction action;
+  bool clear_between;
+};
+
+class LandingFault : public ::testing::TestWithParam<LandingFaultCase> {};
+
+TEST_P(LandingFault, MidExchangeLossAfterAnEarlierDump) {
+  fault::FaultSchedule sched;
+  fault::FaultEvent ev;
+  ev.point = "dump.exchange.mid";
+  ev.rank = 2;
+  ev.epoch = 2;
+  ev.action = GetParam().action;
+  sched.add(ev);
+  const bool cleared = GetParam().clear_between;
+  const auto run = run_two_dumps(sched, cleared);
+  ASSERT_EQ(sched.fired().size(), 1u);
+  for (int r = 0; r < kRanks; ++r) {
+    // Each store received 2 * kPages replicas in the first dump; a
+    // populated store has handed no landing memory back yet.
+    EXPECT_EQ(run.spare[static_cast<std::size_t>(r)],
+              cleared ? 2 * kPages * (kHeader + kPage) : 0u)
+        << "rank " << r;
+  }
+  // The values of the implementation that copied each replica out of a
+  // fresh zeroed window.  With the identity ring, ranks {0, 1, 2} hold a
+  // replica on the dead store.
+  const double total_time_s =
+      cleared ? 0.013898640882208352 : 0.013900908082208351;
+  for (int r = 0; r < kRanks; ++r) {
+    const auto& s = run.second[static_cast<std::size_t>(r)];
+    const bool touched = r <= 2;
+    EXPECT_TRUE(s.degraded) << "rank " << r;
+    EXPECT_EQ(s.store_alive, r != 2) << "rank " << r;
+    EXPECT_EQ(s.k_achieved_min, touched ? kK - 1 : kK) << "rank " << r;
+    EXPECT_EQ(s.under_replicated_chunks, touched ? kPages : 0u)
+        << "rank " << r;
+    EXPECT_EQ(s.under_replicated_bytes, touched ? kPages * kPage : 0u)
+        << "rank " << r;
+    EXPECT_EQ(s.commit_skipped_chunks, r == 2 ? 3 * kPages : 0u)
+        << "rank " << r;
+    EXPECT_EQ(s.stored_chunks, r == 2 ? 0u : 3 * kPages) << "rank " << r;
+    EXPECT_EQ(s.recv_chunks, 2 * kPages) << "rank " << r;
+    EXPECT_EQ(s.sent_chunks, (kK - 1) * kPages) << "rank " << r;
+    EXPECT_EQ(s.total_time_s, total_time_s) << "rank " << r;
+    if (r == 2) continue;
+    // Each surviving store holds one window's memory of landed chunks.  A
+    // populated store copied the second dump's few new chunks out and kept
+    // its window as the spare instead of pinning it.
+    const auto& store = run.stores[static_cast<std::size_t>(r)];
+    EXPECT_EQ(store.landed_bytes(), 2 * kPages * (kHeader + kPage))
+        << "rank " << r;
+    EXPECT_EQ(store.spare_landing_bytes(),
+              cleared ? 0u : 2 * kPages * (kHeader + kPage))
+        << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WipeAndFail, LandingFault,
+    ::testing::Values(
+        LandingFaultCase{fault::FaultAction::kWipeStore, true},
+        LandingFaultCase{fault::FaultAction::kFailStore, true},
+        LandingFaultCase{fault::FaultAction::kWipeStore, false},
+        LandingFaultCase{fault::FaultAction::kFailStore, false}),
+    [](const ::testing::TestParamInfo<LandingFaultCase>& param_info) {
+      const auto& c = param_info.param;
+      return std::string(c.action == fault::FaultAction::kWipeStore
+                             ? "WipeStore"
+                             : "FailStore") +
+             (c.clear_between ? "_Cleared" : "_Populated");
+    });
+
+// Two healthy dumps in a row restore the second byte for byte, whether the
+// second one reused cleared stores' landing memory or landed into stores
+// that still hold the first (its unchanged chunks are then duplicates).
+TEST(LandingRestore, ByteExactAfterTwoConsecutiveDumps) {
+  for (const bool clear_between : {true, false}) {
+    fault::FaultSchedule sched;
+    auto run = run_two_dumps(sched, clear_between);
+    std::vector<chunk::ChunkStore*> ptrs;
+    for (auto& s : run.stores) ptrs.push_back(&s);
+    for (int r = 0; r < kRanks; ++r) {
+      const auto restored = core::restore_rank(ptrs, r);
+      ASSERT_EQ(restored.segments.size(), 1u);
+      EXPECT_EQ(restored.segments[0], epoch_pages(r, 2))
+          << "rank " << r << (clear_between ? " (cleared)" : " (populated)");
+      // A second dump of mostly known chunks copies the few new ones out
+      // and keeps its window as the spare for the next dump; a dump of
+      // all-new chunks keeps them where they landed.  Either way one
+      // window's memory holds landed chunks.
+      const auto& store = run.stores[static_cast<std::size_t>(r)];
+      EXPECT_EQ(store.landed_bytes(), 2 * kPages * (kHeader + kPage))
+          << "rank " << r;
+      EXPECT_EQ(store.spare_landing_bytes(),
+                clear_between ? 0u : 2 * kPages * (kHeader + kPage))
+          << "rank " << r;
+    }
+    EXPECT_EQ(min_replicas(run.stores), static_cast<std::size_t>(kK));
+  }
+}
+
+// Content-defined chunks land in max-size slots (4 KiB against a 1 KiB
+// average), so a window is mostly padding: the store copies them out
+// rather than pinning about three times their bytes.
+TEST(LandingRestore, CdcDumpKeepsAtMostTwiceItsPayload) {
+  auto cfg = identity_ring_config();
+  cfg.chunking = core::ChunkingMode::kContentDefined;
+  std::vector<std::vector<std::uint8_t>> inputs(kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    std::mt19937_64 rng(0xCDC0 + static_cast<std::uint64_t>(r));
+    inputs[static_cast<std::size_t>(r)].resize(kPages * kPage);
+    for (auto& b : inputs[static_cast<std::size_t>(r)]) {
+      b = static_cast<std::uint8_t>(rng());
+    }
+  }
+  std::vector<chunk::ChunkStore> stores(kRanks);
+  std::vector<core::DumpStats> stats(kRanks);
+  simmpi::Runtime rt(kRanks);
+  rt.run([&](simmpi::Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    chunk::Dataset ds;
+    ds.add_segment(inputs[r]);
+    core::Dumper dumper(comm, stores[r], cfg);
+    stats[r] = dumper.dump_output(ds, kK);
+  });
+  std::vector<chunk::ChunkStore*> ptrs;
+  for (auto& s : stores) ptrs.push_back(&s);
+  for (int r = 0; r < kRanks; ++r) {
+    const auto& s = stats[static_cast<std::size_t>(r)];
+    ASSERT_GT(s.recv_chunks, 0u);
+    // The slots really are mostly padding.
+    ASSERT_LT(2 * s.recv_bytes, s.recv_chunks * (kHeader + cfg.cdc.max_bytes));
+    EXPECT_LE(stores[static_cast<std::size_t>(r)].landed_bytes(),
+              2 * s.recv_bytes)
+        << "rank " << r;
+    const auto restored = core::restore_rank(ptrs, r);
+    ASSERT_EQ(restored.segments.size(), 1u);
+    EXPECT_EQ(restored.segments[0], inputs[static_cast<std::size_t>(r)])
+        << "rank " << r;
+  }
+}
+
 // -- REPAIR --------------------------------------------------------------------
 
 TEST(Repair, ShipsOnlyShortfallAndRestoresEveryChunkToK) {
@@ -544,6 +748,30 @@ TEST(ReplicaHealthSet, LoadHugeCountThrowsBeforeAllocating) {
 
 TEST(ReplicaHealthSet, LoadRejectsZeroCount) {
   EXPECT_THROW(load_health(encode_health(1, {{0, {}}})), std::runtime_error);
+}
+
+TEST(ReplicaHealthSet, LoadRejectsNegativeHolders) {
+  EXPECT_THROW(load_health(encode_health(1, {{2, {-1, 3}}})),
+               std::runtime_error);
+}
+
+TEST(ReplicaHealthSet, LoadRejectsHoldersOfASatisfiedEntry) {
+  EXPECT_THROW(load_health(encode_health(1, {{kK, {0, 1, 2}}})),
+               std::runtime_error);
+}
+
+TEST(ReplicaHealthSet, MergedSetsPassTheirInvariants) {
+  core::ReplicaHealthSet h(kK);
+  for (int rank = 0; rank < 4; ++rank) {
+    core::ReplicaHealthSet mine(kK);
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      if ((i + static_cast<std::uint64_t>(rank)) % 2 == 0) {
+        mine.add_local(hash::Fingerprint::from_u64(i), kPage, rank);
+      }
+    }
+    (void)h.merge_from(std::move(mine));
+    EXPECT_TRUE(h.check_invariants()) << "after rank " << rank;
+  }
 }
 
 TEST(ReplicaHealthSet, LoadRejectsHoldersNotStrictlyAscending) {

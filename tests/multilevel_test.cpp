@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <unordered_set>
 #include <vector>
 
 #include "apps/rng.hpp"
@@ -41,6 +42,7 @@ TEST(PfsDump, RoundTripsThroughSharedStore) {
   constexpr int kRanks = 4;
   PfsStore pfs;
   std::vector<std::vector<std::uint8_t>> originals(kRanks);
+  std::vector<std::uint64_t> written(kRanks, 0);
   simmpi::Runtime rt(kRanks);
   rt.run([&](simmpi::Comm& comm) {
     const int r = comm.rank();
@@ -50,10 +52,23 @@ TEST(PfsDump, RoundTripsThroughSharedStore) {
     const auto stats =
         ftrt::pfs_dump(comm, pfs, ds, 256, hash::HashKind::kSha1, 1);
     EXPECT_GT(stats.total_time_s, 0.0);
+    written[static_cast<std::size_t>(r)] = stats.written_bytes;
   });
   for (int r = 0; r < kRanks; ++r) {
     const auto restored = ftrt::pfs_restore(pfs, r);
     EXPECT_EQ(restored.segments.at(0), originals[static_cast<std::size_t>(r)]);
+    // A rank writes its locally unique chunks plus its manifest, counted
+    // at the wire size of the manifest it wrote.
+    const auto manifest = pfs.manifest_for(r);
+    ASSERT_TRUE(manifest.has_value());
+    std::unordered_set<hash::Fingerprint, hash::FingerprintHash> seen;
+    std::uint64_t unique_bytes = 0;
+    for (const auto& e : manifest->entries) {
+      if (seen.insert(e.fp).second) unique_bytes += e.length;
+    }
+    EXPECT_EQ(written[static_cast<std::size_t>(r)],
+              unique_bytes + chunk::manifest_wire_bytes(*manifest))
+        << "rank " << r;
   }
 }
 

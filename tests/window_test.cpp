@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "fault/schedule.hpp"
@@ -41,6 +43,126 @@ TEST(Window, RegionsAreZeroInitialized) {
     for (const auto byte : win.local()) EXPECT_EQ(byte, 0);
     win.free();
   });
+}
+
+// -- windows over caller memory ---------------------------------------------
+
+TEST(Window, PutsLandInTheCallersBytes) {
+  simmpi::Runtime rt(3);
+  std::vector<std::vector<std::uint8_t>> mem(3,
+                                             std::vector<std::uint8_t>(16, 0xEE));
+  rt.run([&](simmpi::Comm& comm) {
+    auto& mine = mem[static_cast<std::size_t>(comm.rank())];
+    auto win = comm.win_create(std::span<std::uint8_t>{mine});
+    const std::vector<std::uint8_t> id(4,
+                                       static_cast<std::uint8_t>(comm.rank()));
+    for (int t = 0; t < comm.size(); ++t) {
+      win.put(t, static_cast<std::size_t>(comm.rank()) * 4, id);
+    }
+    win.fence();
+    win.free();
+  });
+  // The bytes stay the caller's after the window is gone, and the window
+  // wrote nothing else: the unwritten tail keeps the caller's fill.
+  for (const auto& mine : mem) {
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      EXPECT_EQ(mine[i], i < 12 ? i / 4 : 0xEE) << "byte " << i;
+    }
+  }
+}
+
+TEST(Window, LocalAliasesTheCallersRegion) {
+  simmpi::Runtime rt(2);
+  rt.run([&](simmpi::Comm& comm) {
+    std::vector<std::uint8_t> mine(32, 0);
+    // A sub-span: the window exposes exactly what it was given.
+    const std::span<std::uint8_t> region{mine.data() + 8, 16};
+    auto win = comm.win_create(region);
+    EXPECT_EQ(win.local().data(), region.data());
+    EXPECT_EQ(win.local().size(), region.size());
+    if (comm.rank() == 0) {
+      const std::vector<std::uint8_t> data(4, 0x5A);
+      win.put(1, 12, data);
+    }
+    win.fence();
+    if (comm.rank() == 1) {
+      EXPECT_EQ(mine[8 + 12], 0x5A);
+      EXPECT_EQ(mine[8 + 15], 0x5A);
+      EXPECT_EQ(mine[8 + 11], 0);
+      EXPECT_EQ(mine[8 + 16], 0);  // past the region: untouched
+    }
+    win.free();
+  });
+}
+
+TEST(Window, OutOfBoundsPutIntoCallerRegionThrows) {
+  simmpi::Runtime rt(2);
+  EXPECT_THROW(rt.run([&](simmpi::Comm& comm) {
+    std::vector<std::uint8_t> mine(8, 0);
+    auto win = comm.win_create(std::span<std::uint8_t>{mine});
+    const std::vector<std::uint8_t> data(4, 1);
+    if (comm.rank() == 0) win.put(1, 5, data);  // 5 + 4 > 8
+    win.fence();
+    win.free();
+  }),
+               std::out_of_range);
+}
+
+TEST(Window, ZeroLengthCallerRegion) {
+  simmpi::Runtime rt(2);
+  rt.run([&](simmpi::Comm& comm) {
+    std::vector<std::uint8_t> mine(comm.rank() == 1 ? 8 : 0, 0);
+    auto win = comm.win_create(std::span<std::uint8_t>{mine});
+    EXPECT_EQ(win.local().size(), mine.size());
+    if (comm.rank() == 1) {
+      win.put(0, 0, std::span<const std::uint8_t>{});  // empty put: in bounds
+      EXPECT_THROW(win.put(0, 0, std::vector<std::uint8_t>(1, 7)),
+                   std::out_of_range);
+    } else {
+      win.put(1, 0, std::vector<std::uint8_t>(8, 3));
+    }
+    win.fence();
+    if (comm.rank() == 1) {
+      EXPECT_EQ(mine[7], 3);
+    }
+    win.free();
+  });
+}
+
+// A rank that dies mid-epoch frees its region's memory while unwinding
+// (its Window is released first, which detaches the region).  Puts the
+// survivors then issue toward it are bounds-checked and counted, and
+// copy nothing; under ASan a copy into the freed memory would be reported.
+TEST(Window, PutsIntoADeadRanksReleasedRegionCopyNothing) {
+  constexpr int kVictim = 1;
+  fault::FaultSchedule sched;
+  fault::FaultEvent ev;
+  ev.point = "dump.exchange.mid";
+  ev.rank = kVictim;
+  ev.action = fault::FaultAction::kKillRank;
+  sched.add(ev);
+  simmpi::RuntimeOptions opts;
+  opts.faults = &sched;
+  opts.contain_failures = true;
+  simmpi::Runtime rt(3, opts);
+  std::vector<int> saw_death(3, 0);
+  rt.run([&](simmpi::Comm& comm) {
+    const int r = comm.rank();
+    auto mine = std::make_unique<std::vector<std::uint8_t>>(64, 0);
+    auto win = comm.win_create(std::span<std::uint8_t>{*mine});
+    comm.fault_point("dump.exchange.mid");  // the victim dies here
+    try {
+      comm.barrier();  // throws once the victim's stack is gone
+    } catch (const simmpi::RankDeadError&) {
+      saw_death[static_cast<std::size_t>(r)] = 1;
+      const std::vector<std::uint8_t> data(16, 0x77);
+      win.put(kVictim, 0, data);
+      EXPECT_THROW(win.put(kVictim, 56, data), std::out_of_range);
+      EXPECT_EQ(comm.epoch_bytes_put(), data.size());
+      (void)comm.shrink();
+    }
+  });
+  EXPECT_EQ(saw_death, (std::vector<int>{1, 0, 1}));
 }
 
 TEST(Window, DifferentSizesPerRank) {

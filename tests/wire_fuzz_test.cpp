@@ -211,15 +211,7 @@ TEST(WireFuzz, ReplicaHealthSet) {
   }
   seeds.push_back(std::move(h));
   fuzz("ReplicaHealthSet", seeds, 0xF00D0003,
-       [](const core::ReplicaHealthSet& s) {
-         for (const auto& [fp, e] : s.entries()) {
-           if (e.count == 0) return false;
-           for (std::size_t j = 1; j < e.holders.size(); ++j) {
-             if (e.holders[j] <= e.holders[j - 1]) return false;
-           }
-         }
-         return true;
-       });
+       [](const core::ReplicaHealthSet& s) { return s.check_invariants(); });
 }
 
 TEST(WireFuzz, ArchiveVectorsAndStrings) {
