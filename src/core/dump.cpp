@@ -387,14 +387,7 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
   const std::uint64_t my_store_total = stats.stored_bytes +
                                        stats.manifest_bytes;
   const auto all_store = simmpi::allgather(comm_, my_store_total);
-  std::vector<std::uint64_t> node_bytes(
-      static_cast<std::size_t>(cluster.node_count(n)), 0);
-  for (int r = 0; r < n; ++r) {
-    node_bytes[static_cast<std::size_t>(cluster.node_of(r))] +=
-        all_store[static_cast<std::size_t>(r)];
-  }
-  comm_.charge(static_cast<double>(
-                   node_bytes[static_cast<std::size_t>(comm_.node())]) /
+  comm_.charge(static_cast<double>(comm_.node_total(all_store)) /
                cluster.hdd_write_bps);
 
   // Degraded-mode audit: one cheap liveness allgather per dump; the

@@ -311,14 +311,7 @@ EcDumpStats EcDumper::dump_output(const chunk::Dataset& buffer) {
       stats.stored_bytes + stats.parity_bytes +
       chunk::manifest_wire_bytes(manifest);
   const auto all_device = simmpi::allgather(comm_, device_bytes);
-  std::vector<std::uint64_t> node_bytes(
-      static_cast<std::size_t>(cluster.node_count(n)), 0);
-  for (int r = 0; r < n; ++r) {
-    node_bytes[static_cast<std::size_t>(cluster.node_of(r))] +=
-        all_device[static_cast<std::size_t>(r)];
-  }
-  comm_.charge(static_cast<double>(
-                   node_bytes[static_cast<std::size_t>(comm_.node())]) /
+  comm_.charge(static_cast<double>(comm_.node_total(all_device)) /
                cluster.hdd_write_bps);
   comm_.barrier();
   stats.total_time_s = comm_.clock().now() - t0;
@@ -342,29 +335,16 @@ EcDumpStats EcDumper::dump_output(const chunk::Dataset& buffer) {
 core::RestoreResult ec_restore_rank(
     std::span<chunk::ChunkStore* const> stores, int rank,
     const EcConfig& config) {
+  const ManifestScan scan = newest_manifest(stores, rank);
+  // Read only by the decode below, which runs after refill_segments has
+  // accepted the manifest.
+  const std::uint64_t epoch =
+      scan.manifest != nullptr ? scan.manifest->epoch : 0;
   const int n = static_cast<int>(stores.size());
-  if (rank < 0 || rank >= n) {
-    throw std::out_of_range("ec_restore: rank outside store set");
-  }
   const auto alive = [&](int r) {
     return stores[static_cast<std::size_t>(r)] != nullptr &&
            !stores[static_cast<std::size_t>(r)]->failed();
   };
-
-  // Newest manifest for `rank` across the surviving stores.
-  const chunk::Manifest* manifest = nullptr;
-  for (int r = 0; r < n; ++r) {
-    if (!alive(r)) continue;
-    const auto* m = stores[static_cast<std::size_t>(r)]->manifest_for(rank);
-    if (m != nullptr && (manifest == nullptr || m->epoch > manifest->epoch)) {
-      manifest = m;
-    }
-  }
-  if (manifest == nullptr) throw core::ManifestLostError(rank);
-  if (!manifest->check_invariants()) {
-    throw std::runtime_error("ec_restore: manifest does not tile its segments");
-  }
-  const std::uint64_t epoch = manifest->epoch;
 
   // Decoded-stream payloads, filled lazily on the first miss.
   std::unordered_map<hash::Fingerprint, std::vector<std::uint8_t>,
@@ -398,7 +378,9 @@ core::RestoreResult ec_restore_rank(
     std::uint64_t stripes = 0;
     for (int i = 0; i < m_eff; ++i) {
       const auto sm = stream_manifest_for(members[static_cast<std::size_t>(i)]);
-      if (!sm.has_value()) throw core::ChunkLostError{};
+      // Without every member's stream geometry nothing decodes: the miss
+      // is reported as a lost chunk by refill_segments.
+      if (!sm.has_value()) return;
       streams[static_cast<std::size_t>(i)] = *sm;
       stripes = std::max(stripes, static_cast<std::uint64_t>(sm->size()));
     }
@@ -453,62 +435,15 @@ core::RestoreResult ec_restore_rank(
     }
   };
 
-  core::RestoreResult out;
-  out.segments.reserve(manifest->segment_sizes.size());
-  for (const auto size : manifest->segment_sizes) {
-    out.segments.emplace_back();
-    out.segments.back().reserve(size);
-  }
-  std::size_t seg = 0;
-  for (const chunk::ManifestEntry& entry : manifest->entries) {
-    while (seg < out.segments.size() &&
-           out.segments[seg].size() == manifest->segment_sizes[seg]) {
-      ++seg;
-    }
-    if (seg == out.segments.size()) {
-      throw std::runtime_error("ec_restore: manifest exceeds segments");
-    }
-    std::span<const std::uint8_t> payload;
-    bool found = false;
-    if (alive(rank)) {
-      if (const auto p = stores[static_cast<std::size_t>(rank)]->get(entry.fp)) {
-        payload = *p;
-        found = true;
-        ++out.chunks_from_own_store;
-      }
-    }
-    if (!found) {
-      for (int r = 0; r < n && !found; ++r) {
-        if (r == rank || !alive(r)) continue;
-        if (const auto p = stores[static_cast<std::size_t>(r)]->get(entry.fp)) {
-          payload = *p;
-          found = true;
-          ++out.chunks_from_remote_stores;
-        }
-      }
-    }
-    if (!found) {
-      try_decode();
-      const auto it = decoded.find(entry.fp);
-      if (it != decoded.end()) {
-        payload = it->second;
-        found = true;
-        ++out.chunks_from_remote_stores;
-      }
-    }
-    if (!found) throw core::ChunkLostError{};
-    if (payload.size() != entry.length) {
-      throw std::runtime_error("ec_restore: chunk length mismatch");
-    }
-    out.segments[seg].insert(out.segments[seg].end(), payload.begin(),
-                             payload.end());
-  }
-  for (std::size_t s = 0; s < out.segments.size(); ++s) {
-    if (out.segments[s].size() != manifest->segment_sizes[s]) {
-      throw std::runtime_error("ec_restore: segment size mismatch");
-    }
-  }
-  return out;
+  return refill_segments(
+      scan, rank,
+      [&](const hash::Fingerprint& fp) -> std::optional<FetchedChunk> {
+        if (auto hit = fetch_replica(stores, rank, fp)) return hit;
+        try_decode();
+        const auto it = decoded.find(fp);
+        if (it == decoded.end()) return std::nullopt;
+        return FetchedChunk{it->second, false};
+      });
 }
 
 }  // namespace collrep::core

@@ -84,10 +84,12 @@ class EcDumper {
                                         std::uint64_t epoch);
 [[nodiscard]] std::string ec_stream_key(int rank, std::uint64_t epoch);
 
-// Restores `rank`'s dumped dataset from the surviving stores, decoding
-// its chunk stream from group survivors + parity when the rank's own
-// store is failed.  Throws (like core::restore_rank) when the failure
-// pattern exceeds `parity` within the group.
+// Restores `rank`'s dumped dataset through core::refill_segments, like
+// core::restore_rank: each chunk comes from the rank's own store, else
+// from any other alive store, else from the group's chunk streams, which
+// are decoded from survivors + parity on the first such miss.  Throws
+// ManifestLostError / ChunkLostError like core::restore_rank, and
+// std::runtime_error when the group lost more than `parity` shards.
 [[nodiscard]] core::RestoreResult ec_restore_rank(
     std::span<chunk::ChunkStore* const> stores, int rank,
     const EcConfig& config);

@@ -6,49 +6,34 @@ namespace collrep::core {
 
 namespace detail {
 
+namespace {
+std::string store_counts(int consulted, int failed) {
+  return " (" + std::to_string(consulted) + " store(s) consulted, " +
+         std::to_string(failed) + " failed)";
+}
+}  // namespace
+
 std::string manifest_lost_message(int rank, int consulted, int failed) {
-  std::string out =
-      "restore: no surviving manifest for rank " + std::to_string(rank);
-  if (consulted >= 0) {
-    out += " (" + std::to_string(consulted) + " store(s) consulted";
-    if (failed >= 0) out += ", " + std::to_string(failed) + " failed";
-    out += ')';
-  }
-  return out;
+  return "restore: no surviving manifest for rank " + std::to_string(rank) +
+         store_counts(consulted, failed);
 }
 
-std::string chunk_lost_message(const hash::Fingerprint* fp, int owner_rank,
+std::string chunk_lost_message(const hash::Fingerprint& fp, int owner_rank,
                                int consulted, int failed) {
-  std::string out = "restore: chunk ";
-  if (fp != nullptr) {
-    out += fp->hex().substr(0, 12);
-    out += "... ";
-  }
-  if (owner_rank >= 0) {
-    out += "of rank " + std::to_string(owner_rank) + "'s dataset ";
-  }
-  out += "is not available on any surviving store";
-  if (consulted >= 0) {
-    out += " (" + std::to_string(consulted) + " store(s) consulted";
-    if (failed >= 0) out += ", " + std::to_string(failed) + " failed";
-    out += ')';
-  }
-  return out;
+  return "restore: chunk " + fp.hex().substr(0, 12) + "... of rank " +
+         std::to_string(owner_rank) +
+         "'s dataset is not available on any surviving store" +
+         store_counts(consulted, failed);
 }
 
 }  // namespace detail
 
-namespace {
-
-struct StoreScan {
-  const chunk::Manifest* manifest = nullptr;
-  int consulted = 0;  // alive stores examined
-  int failed = 0;     // failed/absent stores skipped
-};
-
-StoreScan newest_manifest(std::span<chunk::ChunkStore* const> stores,
-                          int rank) {
-  StoreScan scan;
+ManifestScan newest_manifest(std::span<chunk::ChunkStore* const> stores,
+                             int rank) {
+  if (rank < 0 || static_cast<std::size_t>(rank) >= stores.size()) {
+    throw std::out_of_range("restore: rank outside store set");
+  }
+  ManifestScan scan;
   for (const chunk::ChunkStore* store : stores) {
     if (store == nullptr || store->failed()) {
       ++scan.failed;
@@ -64,19 +49,26 @@ StoreScan newest_manifest(std::span<chunk::ChunkStore* const> stores,
   return scan;
 }
 
-}  // namespace
-
-RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
-                           int rank) {
-  if (rank < 0 || static_cast<std::size_t>(rank) >= stores.size()) {
-    throw std::out_of_range("restore: rank outside store set");
+std::optional<FetchedChunk> fetch_replica(
+    std::span<chunk::ChunkStore* const> stores, int rank,
+    const hash::Fingerprint& fp) {
+  const chunk::ChunkStore* own = stores[static_cast<std::size_t>(rank)];
+  if (own != nullptr && !own->failed()) {
+    if (const auto p = own->get(fp)) return FetchedChunk{*p, true};
   }
-  const StoreScan scan = newest_manifest(stores, rank);
+  for (const chunk::ChunkStore* store : stores) {
+    if (store == nullptr || store->failed() || store == own) continue;
+    if (const auto p = store->get(fp)) return FetchedChunk{*p, false};
+  }
+  return std::nullopt;
+}
+
+RestoreResult refill_segments(const ManifestScan& scan, int rank,
+                              const PayloadSource& source) {
   const chunk::Manifest* manifest = scan.manifest;
   if (manifest == nullptr) {
     throw ManifestLostError(rank, scan.consulted, scan.failed);
   }
-
   if (!manifest->check_invariants()) {
     throw std::runtime_error("restore: rank " + std::to_string(rank) +
                              "'s manifest does not tile its segments");
@@ -88,9 +80,6 @@ RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
     out.segments.emplace_back();
     out.segments.back().reserve(size);
   }
-
-  chunk::ChunkStore* own = stores[static_cast<std::size_t>(rank)];
-  const bool own_alive = own != nullptr && !own->failed();
 
   std::size_t seg = 0;
   for (const chunk::ManifestEntry& entry : manifest->entries) {
@@ -104,37 +93,24 @@ RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
       throw std::runtime_error("restore: manifest entries exceed segments");
     }
 
-    std::span<const std::uint8_t> payload;
-    bool found = false;
-    if (own_alive) {
-      if (const auto p = own->get(entry.fp)) {
-        payload = *p;
-        found = true;
-        ++out.chunks_from_own_store;
-        out.bytes_from_own_store += p->size();
-      }
-    }
-    if (!found) {
-      for (chunk::ChunkStore* store : stores) {
-        if (store == nullptr || store->failed() || store == own) continue;
-        if (const auto p = store->get(entry.fp)) {
-          payload = *p;
-          found = true;
-          ++out.chunks_from_remote_stores;
-          out.bytes_from_remote_stores += p->size();
-          break;
-        }
-      }
-    }
-    if (!found) {
+    const std::optional<FetchedChunk> hit = source(entry.fp);
+    if (!hit.has_value()) {
       throw ChunkLostError(entry.fp, rank, scan.consulted, scan.failed);
     }
+    const std::span<const std::uint8_t> payload = hit->payload;
     if (payload.size() >
         manifest->segment_sizes[seg] - out.segments[seg].size()) {
       throw std::runtime_error("restore: chunk overruns its segment");
     }
     if (payload.size() != entry.length) {
       throw std::runtime_error("restore: chunk length mismatch (collision?)");
+    }
+    if (hit->own) {
+      ++out.chunks_from_own_store;
+      out.bytes_from_own_store += payload.size();
+    } else {
+      ++out.chunks_from_remote_stores;
+      out.bytes_from_remote_stores += payload.size();
     }
     out.segments[seg].insert(out.segments[seg].end(), payload.begin(),
                              payload.end());
@@ -146,6 +122,14 @@ RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
     }
   }
   return out;
+}
+
+RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
+                           int rank) {
+  return refill_segments(newest_manifest(stores, rank), rank,
+                         [&](const hash::Fingerprint& fp) {
+                           return fetch_replica(stores, rank, fp);
+                         });
 }
 
 std::pair<RestoreResult, CollectiveRestoreStats> restore_input(
@@ -166,17 +150,8 @@ std::pair<RestoreResult, CollectiveRestoreStats> restore_input(
   // serving partner is not tracked per chunk).
   const auto all_local = simmpi::allgather(comm, stats.local_bytes);
   const auto all_remote = simmpi::allgather(comm, stats.remote_bytes);
-  const int n = comm.size();
-  std::vector<std::uint64_t> node_read(
-      static_cast<std::size_t>(cluster.node_count(n)), 0);
-  for (int r = 0; r < n; ++r) {
-    // Dense group rank -> world rank -> node: correct after a shrink.
-    node_read[static_cast<std::size_t>(cluster.node_of(comm.world_of(r)))] +=
-        all_local[static_cast<std::size_t>(r)] +
-        all_remote[static_cast<std::size_t>(r)];
-  }
-  comm.charge(static_cast<double>(
-                  node_read[static_cast<std::size_t>(comm.node())]) /
+  comm.charge(static_cast<double>(comm.node_total(all_local) +
+                                  comm.node_total(all_remote)) /
               cluster.hdd_read_bps);
   comm.charge(static_cast<double>(stats.remote_bytes) /
               cluster.net_bandwidth_bps);

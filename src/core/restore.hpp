@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -20,7 +22,7 @@ namespace collrep::core {
 namespace detail {
 [[nodiscard]] std::string manifest_lost_message(int rank, int consulted,
                                                 int failed);
-[[nodiscard]] std::string chunk_lost_message(const hash::Fingerprint* fp,
+[[nodiscard]] std::string chunk_lost_message(const hash::Fingerprint& fp,
                                              int owner_rank, int consulted,
                                              int failed);
 }  // namespace detail
@@ -28,12 +30,9 @@ namespace detail {
 // The degraded-restore errors carry enough to make a failing test
 // actionable: which dataset, which chunk (fingerprint hex prefix), and how
 // many stores were consulted vs. already failed when the search gave up.
-// `stores_consulted`/`stores_failed` are -1 when the throw site did not
-// track them (legacy call sites).
 class ManifestLostError : public std::runtime_error {
  public:
-  explicit ManifestLostError(int rank, int stores_consulted = -1,
-                             int stores_failed = -1)
+  ManifestLostError(int rank, int stores_consulted, int stores_failed)
       : std::runtime_error(detail::manifest_lost_message(rank, stores_consulted,
                                                          stores_failed)),
         rank_(rank),
@@ -52,33 +51,27 @@ class ManifestLostError : public std::runtime_error {
 
 class ChunkLostError : public std::runtime_error {
  public:
-  ChunkLostError()
-      : std::runtime_error(detail::chunk_lost_message(nullptr, -1, -1, -1)) {}
-
   ChunkLostError(const hash::Fingerprint& fp, int owner_rank,
-                 int stores_consulted = -1, int stores_failed = -1)
+                 int stores_consulted, int stores_failed)
       : std::runtime_error(detail::chunk_lost_message(
-            &fp, owner_rank, stores_consulted, stores_failed)),
+            fp, owner_rank, stores_consulted, stores_failed)),
         fp_(fp),
-        has_fp_(true),
         owner_rank_(owner_rank),
         consulted_(stores_consulted),
         failed_(stores_failed) {}
 
-  // Fingerprint of the missing chunk; all-zero when unknown (has_fp()).
+  // Fingerprint of the missing chunk.
   [[nodiscard]] const hash::Fingerprint& fp() const noexcept { return fp_; }
-  [[nodiscard]] bool has_fp() const noexcept { return has_fp_; }
-  // Rank whose dataset needed the chunk; -1 when unknown.
+  // Rank whose dataset needed the chunk.
   [[nodiscard]] int owner_rank() const noexcept { return owner_rank_; }
   [[nodiscard]] int stores_consulted() const noexcept { return consulted_; }
   [[nodiscard]] int stores_failed() const noexcept { return failed_; }
 
  private:
   hash::Fingerprint fp_;
-  bool has_fp_ = false;
-  int owner_rank_ = -1;
-  int consulted_ = -1;
-  int failed_ = -1;
+  int owner_rank_;
+  int consulted_;
+  int failed_;
 };
 
 struct RestoreResult {
@@ -88,6 +81,43 @@ struct RestoreResult {
   std::uint64_t bytes_from_own_store = 0;
   std::uint64_t bytes_from_remote_stores = 0;
 };
+
+// The newest manifest of `rank` over the alive stores (nullptr when none
+// holds one), with the stores examined and the failed/absent ones skipped.
+struct ManifestScan {
+  const chunk::Manifest* manifest = nullptr;
+  int consulted = 0;
+  int failed = 0;
+};
+// Throws std::out_of_range when `rank` has no slot in `stores`.
+[[nodiscard]] ManifestScan newest_manifest(
+    std::span<chunk::ChunkStore* const> stores, int rank);
+
+// One chunk payload found by a restore source.  `own` marks a read from
+// the restoring rank's own device (RestoreResult's own-store counters).
+struct FetchedChunk {
+  std::span<const std::uint8_t> payload;
+  bool own = false;
+};
+// Looks up one fingerprint; the payload must stay valid until the next
+// call.
+using PayloadSource =
+    std::function<std::optional<FetchedChunk>(const hash::Fingerprint&)>;
+
+// The replica source: `rank`'s own store first, then every other alive
+// store in index order.
+[[nodiscard]] std::optional<FetchedChunk> fetch_replica(
+    std::span<chunk::ChunkStore* const> stores, int rank,
+    const hash::Fingerprint& fp);
+
+// The one restore loop: rebuilds the segments of `scan.manifest` (the
+// dataset of `rank`) from `source`.  Throws ManifestLostError when the scan
+// found no manifest and ChunkLostError when the source misses a chunk;
+// rejects a manifest that does not tile its segments before sizing any
+// buffer from it, and a payload that overruns its segment or differs from
+// its entry's length.
+[[nodiscard]] RestoreResult refill_segments(const ManifestScan& scan, int rank,
+                                            const PayloadSource& source);
 
 // Rebuilds `rank`'s most recent dump from `stores` (index == rank).  Failed
 // stores are skipped; throws ManifestLostError / ChunkLostError when the

@@ -60,40 +60,15 @@ PfsDumpStats pfs_dump(simmpi::Comm& comm, PfsStore& pfs,
 core::RestoreResult pfs_restore(const PfsStore& pfs, int rank) {
   const auto manifest = pfs.manifest_for(rank);
   // The PFS is one logical store: 1 consulted, 0 failed.
-  if (!manifest.has_value()) throw core::ManifestLostError(rank, 1, 0);
-  if (!manifest->check_invariants()) {
-    throw std::runtime_error(
-        "pfs_restore: manifest does not tile its segments");
-  }
-
-  core::RestoreResult out;
-  out.segments.reserve(manifest->segment_sizes.size());
-  for (const auto size : manifest->segment_sizes) {
-    out.segments.emplace_back();
-    out.segments.back().reserve(size);
-  }
-  std::size_t seg = 0;
-  for (const auto& entry : manifest->entries) {
-    while (seg < out.segments.size() &&
-           out.segments[seg].size() == manifest->segment_sizes[seg]) {
-      ++seg;
-    }
-    if (seg == out.segments.size()) {
-      throw std::runtime_error("pfs_restore: manifest exceeds segments");
-    }
-    const auto payload = pfs.get(entry.fp);
-    if (!payload.has_value()) {
-      throw core::ChunkLostError(entry.fp, rank, 1, 0);
-    }
-    if (payload->size() != entry.length) {
-      throw std::runtime_error("pfs_restore: chunk length mismatch");
-    }
-    out.segments[seg].insert(out.segments[seg].end(), payload->begin(),
-                             payload->end());
-    ++out.chunks_from_remote_stores;
-    out.bytes_from_remote_stores += payload->size();
-  }
-  return out;
+  const core::ManifestScan scan{
+      manifest.has_value() ? &*manifest : nullptr, 1, 0};
+  return core::refill_segments(
+      scan, rank,
+      [&](const hash::Fingerprint& fp) -> std::optional<core::FetchedChunk> {
+        const auto payload = pfs.get(fp);
+        if (!payload.has_value()) return std::nullopt;
+        return core::FetchedChunk{*payload, false};
+      });
 }
 
 MultiLevelStats MultiLevelCheckpoint::maybe_checkpoint(int iteration) {

@@ -111,24 +111,13 @@ RecoveryStats RecoveryService::recover_world(simmpi::Comm& comm) const {
                     (1.0 / cluster.hdd_read_bps +
                      1.0 / cluster.net_bandwidth_bps));
       } else {
-        int consulted = 0;
-        int failed = 0;
-        const chunk::Manifest* best = nullptr;
-        for (const chunk::ChunkStore* s : prev_stores) {
-          if (s == nullptr || s->failed()) {
-            ++failed;
-            continue;
-          }
-          ++consulted;
-          const chunk::Manifest* m = s->manifest_for(d.prev_rank);
-          if (m != nullptr && (best == nullptr || m->epoch > best->epoch)) {
-            best = m;
-          }
+        const core::ManifestScan scan =
+            core::newest_manifest(prev_stores, d.prev_rank);
+        if (scan.manifest == nullptr) {
+          throw core::ManifestLostError(d.prev_rank, scan.consulted,
+                                        scan.failed);
         }
-        if (best == nullptr) {
-          throw core::ManifestLostError(d.prev_rank, consulted, failed);
-        }
-        od.bytes = best->total_bytes();
+        od.bytes = scan.manifest->total_bytes();
         comm.charge(static_cast<double>(od.bytes) / cluster.hdd_read_bps);
       }
       stats.orphans_adopted += 1;

@@ -80,6 +80,20 @@ class Comm {
   [[nodiscard]] int node() const noexcept {
     return cluster().node_of(rank_);
   }
+  // Sum of the per-rank values (indexed by dense group rank, e.g. an
+  // allgather result) over the group ranks on this rank's node.  Ranks map
+  // to nodes through their world rank, so the sum stays right after a
+  // shrink.  No communication.
+  [[nodiscard]] std::uint64_t node_total(
+      std::span<const std::uint64_t> per_rank) const {
+    std::uint64_t total = 0;
+    for (int r = 0; r < size(); ++r) {
+      if (cluster().node_of(world_of(r)) == node()) {
+        total += per_rank[static_cast<std::size_t>(r)];
+      }
+    }
+    return total;
+  }
 
   [[nodiscard]] sim::SimClock& clock() noexcept { return clock_; }
   [[nodiscard]] const sim::SimClock& clock() const noexcept { return clock_; }

@@ -12,6 +12,7 @@
 #include "ec/gf256.hpp"
 #include "core/group_parity.hpp"
 #include "ec/reed_solomon.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -202,29 +203,7 @@ INSTANTIATE_TEST_SUITE_P(Geometries, RsGeometrySweep,
 
 // -- group-parity collective dump + restore ---------------------------------------
 
-struct EcRun {
-  std::vector<chunk::ChunkStore> stores;
-  std::vector<std::vector<std::uint8_t>> datasets;
-  std::vector<core::EcDumpStats> stats;
-};
-
-EcRun run_ec_dump(int nranks, const EcConfig& cfg,
-                  const std::function<std::vector<std::uint8_t>(int)>& gen) {
-  EcRun run;
-  run.stores.resize(static_cast<std::size_t>(nranks));
-  run.datasets.resize(static_cast<std::size_t>(nranks));
-  run.stats.resize(static_cast<std::size_t>(nranks));
-  simmpi::Runtime rt(nranks);
-  rt.run([&](simmpi::Comm& comm) {
-    const int r = comm.rank();
-    run.datasets[static_cast<std::size_t>(r)] = gen(r);
-    chunk::Dataset ds;
-    ds.add_segment(run.datasets[static_cast<std::size_t>(r)]);
-    EcDumper dumper(comm, run.stores[static_cast<std::size_t>(r)], cfg);
-    run.stats[static_cast<std::size_t>(r)] = dumper.dump_output(ds);
-  });
-  return run;
-}
+using test::run_ec_dump;
 
 std::vector<std::uint8_t> skewed_data(int rank, std::size_t chunk_bytes) {
   apps::SynthSpec spec;

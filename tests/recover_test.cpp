@@ -139,6 +139,45 @@ TEST(Containment, SingleDeathShrinksAndContinues) {
   EXPECT_EQ(tel.metrics().counter("simmpi.rank_deaths"), 1u);
 }
 
+// After a shrink, dense group ranks are no longer world ranks, so the
+// node-shared HDD charges of DUMP_OUTPUT and RESTORE_INPUT must map ranks
+// to nodes through their world rank.  Three ranks, two per node: once world
+// rank 0 dies, world rank 1 (dense 0) is alone on node 0 and world rank 2
+// (dense 1) alone on node 1.
+TEST(Containment, ShrunkMultiNodeGroupDumpsAndRestores) {
+  simmpi::RuntimeOptions opts;
+  opts.contain_failures = true;
+  opts.cluster.ranks_per_node = 2;
+  std::vector<chunk::ChunkStore> stores(2);  // the survivors', by dense rank
+  std::vector<chunk::ChunkStore*> ptrs{&stores[0], &stores[1]};
+  std::vector<std::vector<std::uint8_t>> datasets(2);
+  std::vector<std::vector<std::uint8_t>> restored(2);
+  simmpi::Runtime rt(3, opts);
+  rt.run([&](simmpi::Comm& comm) {
+    if (comm.world_rank() == 0) throw simmpi::RankFailure(0, "test kill");
+    try {
+      comm.barrier();
+    } catch (const simmpi::RankDeadError&) {
+      (void)comm.shrink();
+    }
+    ASSERT_EQ(comm.size(), 2);
+    const auto d = static_cast<std::size_t>(comm.rank());
+    // Each survivor's node holds only itself.
+    const std::vector<std::uint64_t> per_rank{1, 10};
+    EXPECT_EQ(comm.node_total(per_rank), per_rank[d]);
+
+    datasets[d] = unique_pages(comm.world_rank());
+    chunk::Dataset ds;
+    ds.add_segment(datasets[d]);
+    core::Dumper dumper(comm, stores[d], identity_ring_config());
+    (void)dumper.dump_output(ds, 2);
+    auto [result, stats] = core::restore_input(comm, ptrs);
+    EXPECT_GT(stats.total_time_s, 0.0);
+    restored[d] = std::move(result.segments.at(0));
+  });
+  EXPECT_EQ(restored, datasets);
+}
+
 // -- RecoveryService over hand-built stores ------------------------------------
 
 struct ManualWorld {
@@ -409,7 +448,6 @@ TEST(Recovery, CascadingDeathsBeyondKFailLoudly) {
     });
     FAIL() << "replication exceeded must surface, not pass";
   } catch (const core::ChunkLostError& e) {
-    ASSERT_TRUE(e.has_fp());
     EXPECT_EQ(e.fp(), fp_y);
     EXPECT_EQ(e.owner_rank(), 1);  // post-shrink dense owner of the dataset
     EXPECT_EQ(e.stores_consulted(), 2);

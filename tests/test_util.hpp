@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/collrep.hpp"
+#include "core/group_parity.hpp"
 
 namespace collrep::test {
 
@@ -141,6 +142,31 @@ inline DumpRun run_dump(int nranks, int k, const core::DumpConfig& cfg,
     ds.add_segment(run.datasets[static_cast<std::size_t>(r)]);
     core::Dumper dumper(comm, run.stores[static_cast<std::size_t>(r)], cfg);
     run.stats[static_cast<std::size_t>(r)] = dumper.dump_output(ds, k);
+  });
+  return run;
+}
+
+// Runs one erasure-coded dump (core::EcDumper) over `nranks`.
+struct EcRun {
+  std::vector<chunk::ChunkStore> stores;
+  std::vector<std::vector<std::uint8_t>> datasets;
+  std::vector<core::EcDumpStats> stats;
+};
+
+inline EcRun run_ec_dump(int nranks, const core::EcConfig& cfg,
+                         const DataGen& gen) {
+  EcRun run;
+  run.stores.resize(static_cast<std::size_t>(nranks));
+  run.datasets.resize(static_cast<std::size_t>(nranks));
+  run.stats.resize(static_cast<std::size_t>(nranks));
+  simmpi::Runtime rt(nranks);
+  rt.run([&](simmpi::Comm& comm) {
+    const int r = comm.rank();
+    run.datasets[static_cast<std::size_t>(r)] = gen(r);
+    chunk::Dataset ds;
+    ds.add_segment(run.datasets[static_cast<std::size_t>(r)]);
+    core::EcDumper dumper(comm, run.stores[static_cast<std::size_t>(r)], cfg);
+    run.stats[static_cast<std::size_t>(r)] = dumper.dump_output(ds);
   });
   return run;
 }
