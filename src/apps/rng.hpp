@@ -2,7 +2,9 @@
 // seeds make every experiment bit-reproducible across runs and hosts.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 namespace collrep::apps {
@@ -23,13 +25,15 @@ class SplitMix64 {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
   }
 
+  // Each draw fills 8 bytes, least significant byte first.  A
+  // little-endian host stores the whole word at once.
   void fill(std::span<std::uint8_t> out) noexcept {
+    static_assert(std::endian::native == std::endian::little,
+                  "fill stores words in little-endian byte order");
     std::size_t i = 0;
-    while (i + 8 <= out.size()) {
+    for (; i + 8 <= out.size(); i += 8) {
       const std::uint64_t v = next();
-      for (int b = 0; b < 8; ++b) {
-        out[i++] = static_cast<std::uint8_t>(v >> (8 * b));
-      }
+      std::memcpy(out.data() + i, &v, sizeof v);
     }
     if (i < out.size()) {
       const std::uint64_t v = next();

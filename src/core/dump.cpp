@@ -164,6 +164,7 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
   // ---- Phase 3: load vectors, allgather, shuffle, offsets -------------------
   ReplicaPlan plan;
   std::vector<std::uint32_t> full_lengths;
+  std::vector<const FpEntry*> view_entries;
   switch (config_.strategy) {
     case Strategy::kNoDedup: {
       full_lengths.reserve(chunker.count());
@@ -177,7 +178,9 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
       plan = plan_local_dedup(local, chunker, keff);
       break;
     case Strategy::kCollDedup:
-      plan = plan_collective(local, chunker, gview, rank, keff, nullptr);
+      view_entries = resolve_view(local, gview);
+      plan = plan_collective(local, chunker, gview, view_entries, rank, keff,
+                             nullptr);
       break;
   }
 
@@ -191,11 +194,15 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
       config_.strategy == Strategy::kCollDedup && config_.rank_shuffle;
   std::vector<int> shuffle =
       shuffled ? rank_shuffle(mat, keff) : identity_shuffle(n);
+  std::vector<int> node_of(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    node_of[static_cast<std::size_t>(r)] = cluster.node_of(comm_.world_of(r));
+  }
   if (config_.node_aware_partners && keff > 1) {
-    shuffle = make_node_disjoint(std::move(shuffle), keff, cluster);
+    shuffle = make_node_disjoint(std::move(shuffle), keff, node_of);
   }
   stats.same_node_partners = static_cast<std::uint32_t>(
-      same_node_partner_count(shuffle, keff, cluster));
+      same_node_partner_count(shuffle, keff, node_of));
   std::vector<int> position_of = invert_shuffle(shuffle);
   // Sorting N ranks is the only super-linear planning step.
   comm_.charge(static_cast<double>(n) *
@@ -207,7 +214,8 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
     // replicas away from designated partners, and re-share the loads so
     // the window offsets still agree (DESIGN.md §1, deviation 3).
     const ShuffleContext ctx{shuffle, position_of};
-    plan = plan_collective(local, chunker, gview, rank, keff, &ctx);
+    plan = plan_collective(local, chunker, gview, view_entries, rank, keff,
+                           &ctx);
     gathered = simmpi::allgather(comm_, plan.load);
     for (int r = 0; r < n; ++r) {
       mat.set_row(r, gathered[static_cast<std::size_t>(r)]);

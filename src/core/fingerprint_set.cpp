@@ -15,56 +15,13 @@ namespace {
 
 constexpr std::size_t kFpBytes = hash::Fingerprint::kBytes;
 
-// The 20 fingerprint bytes viewed as one big-endian 160-bit integer,
-// split into limbs: two u64 + one u32, most significant first.  Byte-
-// lexicographic order == big-endian numeric order, which is exactly the
-// order entries are sorted in.
-struct FpLimbs {
-  std::uint64_t w0;
-  std::uint64_t w1;
-  std::uint32_t w2;
-};
-
-std::uint64_t load_be64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint32_t load_be32(const std::uint8_t* p) noexcept {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
-}
-
-void store_be64(std::uint8_t* p, std::uint64_t v) noexcept {
-  for (int i = 7; i >= 0; --i) {
-    p[i] = static_cast<std::uint8_t>(v);
-    v >>= 8;
-  }
-}
-
-void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
-
-FpLimbs to_limbs(const hash::Fingerprint& fp) noexcept {
-  const auto b = fp.bytes();
-  return {load_be64(b.data()), load_be64(b.data() + 8),
-          load_be32(b.data() + 16)};
-}
-
 // delta = a - b over the 160-bit big-endian integers, limb-at-a-time
 // with borrow propagation (the byte loop this replaces was a hot spot of
 // serialization at large F).
 std::array<std::uint8_t, kFpBytes> fp_sub(const hash::Fingerprint& a,
                                           const hash::Fingerprint& b) {
-  const FpLimbs la = to_limbs(a);
-  const FpLimbs lb = to_limbs(b);
+  const auto la = a.limbs();
+  const auto lb = b.limbs();
   const std::uint32_t d2 = la.w2 - lb.w2;
   std::uint64_t borrow = la.w2 < lb.w2 ? 1 : 0;
   std::uint64_t d1 = 0;
@@ -73,33 +30,26 @@ std::array<std::uint8_t, kFpBytes> fp_sub(const hash::Fingerprint& a,
   borrow1 += __builtin_sub_overflow(d1, borrow, &d1) ? 1 : 0;
   const std::uint64_t d0 = la.w0 - lb.w0 - borrow1;
   std::array<std::uint8_t, kFpBytes> delta{};
-  store_be64(delta.data(), d0);
-  store_be64(delta.data() + 8, d1);
-  store_be32(delta.data() + 16, d2);
+  hash::Fingerprint::store_limbs(delta.data(), {d0, d1, d2});
   return delta;
 }
 
 // base += delta (big-endian); returns the carry out of the top limb.
 int fp_add(hash::Fingerprint& base,
            const std::array<std::uint8_t, kFpBytes>& delta) {
-  const FpLimbs lb = to_limbs(base);
-  const std::uint64_t d0 = load_be64(delta.data());
-  const std::uint64_t d1 = load_be64(delta.data() + 8);
-  const std::uint32_t d2 = load_be32(delta.data() + 16);
-  const std::uint32_t s2 = lb.w2 + d2;
+  const auto lb = base.limbs();
+  const auto ld = hash::Fingerprint::load_limbs(delta.data());
+  const std::uint32_t s2 = lb.w2 + ld.w2;
   std::uint64_t carry = s2 < lb.w2 ? 1 : 0;
   std::uint64_t s1 = 0;
   std::uint64_t carry1 = 0;
-  carry1 = __builtin_add_overflow(lb.w1, d1, &s1) ? 1 : 0;
+  carry1 = __builtin_add_overflow(lb.w1, ld.w1, &s1) ? 1 : 0;
   carry1 += __builtin_add_overflow(s1, carry, &s1) ? 1 : 0;
   std::uint64_t s0 = 0;
   std::uint64_t carry0 = 0;
-  carry0 = __builtin_add_overflow(lb.w0, d0, &s0) ? 1 : 0;
+  carry0 = __builtin_add_overflow(lb.w0, ld.w0, &s0) ? 1 : 0;
   carry0 += __builtin_add_overflow(s0, carry1, &s0) ? 1 : 0;
-  const auto bytes = base.bytes();
-  store_be64(bytes.data(), s0);
-  store_be64(bytes.data() + 8, s1);
-  store_be32(bytes.data() + 16, s2);
+  hash::Fingerprint::store_limbs(base.bytes().data(), {s0, s1, s2});
   return static_cast<int>(carry0);
 }
 

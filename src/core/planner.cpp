@@ -82,26 +82,28 @@ std::uint64_t window_chunks(const SendMatrix& load,
 }
 
 int same_node_partner_count(std::span<const int> shuffle, int k,
-                            const sim::ClusterConfig& cluster) {
+                            std::span<const int> node_of) {
   const int n = static_cast<int>(shuffle.size());
   int violations = 0;
   for (int pos = 0; pos < n; ++pos) {
-    const int node = cluster.node_of(shuffle[static_cast<std::size_t>(pos)]);
+    const int node = node_of[static_cast<std::size_t>(
+        shuffle[static_cast<std::size_t>(pos)])];
     for (int p = 1; p < k && p < n; ++p) {
       const int partner = shuffle[static_cast<std::size_t>((pos + p) % n)];
-      if (cluster.node_of(partner) == node) ++violations;
+      if (node_of[static_cast<std::size_t>(partner)] == node) ++violations;
     }
   }
   return violations;
 }
 
 std::vector<int> make_node_disjoint(std::vector<int> shuffle, int k,
-                                    const sim::ClusterConfig& cluster) {
+                                    std::span<const int> node_of) {
   const int n = static_cast<int>(shuffle.size());
   if (n <= 1 || k <= 1) return shuffle;
 
   const auto node_at = [&](int pos) {
-    return cluster.node_of(shuffle[static_cast<std::size_t>(((pos % n) + n) % n)]);
+    return node_of[static_cast<std::size_t>(
+        shuffle[static_cast<std::size_t>(((pos % n) + n) % n)])];
   };
   // Same-node partner *pairs* owned by a position: matches against the
   // k-1 ring positions before it.  The sum over positions equals
@@ -155,7 +157,7 @@ std::vector<int> make_node_disjoint(std::vector<int> shuffle, int k,
   // try the constructive fallback — walk the original order and at each
   // position pick the earliest remaining rank whose node differs from the
   // previous k-1 picks — and keep whichever arrangement is better.
-  if (same_node_partner_count(shuffle, k, cluster) > 0) {
+  if (same_node_partner_count(shuffle, k, node_of) > 0) {
     std::vector<int> constructed;
     constructed.reserve(static_cast<std::size_t>(n));
     std::vector<bool> used(static_cast<std::size_t>(n), false);
@@ -163,12 +165,12 @@ std::vector<int> make_node_disjoint(std::vector<int> shuffle, int k,
       int pick = -1;
       for (int j = 0; j < n; ++j) {
         if (used[static_cast<std::size_t>(j)]) continue;
-        const int node =
-            cluster.node_of(shuffle[static_cast<std::size_t>(j)]);
+        const int node = node_of[static_cast<std::size_t>(
+            shuffle[static_cast<std::size_t>(j)])];
         bool clean = true;
         for (int d = 1; d < k && d <= i; ++d) {
-          if (cluster.node_of(
-                  constructed[static_cast<std::size_t>(i - d)]) == node) {
+          if (node_of[static_cast<std::size_t>(
+                  constructed[static_cast<std::size_t>(i - d)])] == node) {
             clean = false;
             break;
           }
@@ -189,8 +191,8 @@ std::vector<int> make_node_disjoint(std::vector<int> shuffle, int k,
       used[static_cast<std::size_t>(pick)] = true;
       constructed.push_back(shuffle[static_cast<std::size_t>(pick)]);
     }
-    if (same_node_partner_count(constructed, k, cluster) <
-        same_node_partner_count(shuffle, k, cluster)) {
+    if (same_node_partner_count(constructed, k, node_of) <
+        same_node_partner_count(shuffle, k, node_of)) {
       shuffle = std::move(constructed);
     }
   }

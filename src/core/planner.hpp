@@ -12,8 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "simtime/cluster.hpp"
-
 namespace collrep::core {
 
 // N x K chunk-count table; row = rank (original id), column = slot.
@@ -101,15 +99,20 @@ class SendMatrix {
 
 // Number of (rank, partner-slot) pairs whose partner lives on the same
 // node as the rank — replicas on the same node do not survive a node loss.
+// `node_of[r]` is the node of rank r of the ranks `shuffle` permutes.  For
+// a communicator these are dense group ranks, which map to nodes through
+// their world rank (Comm::world_of), so the count stays right after a
+// shrink.
 [[nodiscard]] int same_node_partner_count(std::span<const int> shuffle, int k,
-                                          const sim::ClusterConfig& cluster);
+                                          std::span<const int> node_of);
 
 // Greedy repair pass: permutes `shuffle` so that (best effort) none of a
 // rank's K-1 ring successors shares its node, while disturbing the
 // load-aware order as little as possible.  With fewer than K nodes a
 // violation-free arrangement cannot exist; the result minimizes greedily
-// and same_node_partner_count() reports what remains.
+// and same_node_partner_count() reports what remains.  `node_of` as
+// there.
 [[nodiscard]] std::vector<int> make_node_disjoint(
-    std::vector<int> shuffle, int k, const sim::ClusterConfig& cluster);
+    std::vector<int> shuffle, int k, std::span<const int> node_of);
 
 }  // namespace collrep::core

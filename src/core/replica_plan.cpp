@@ -1,6 +1,7 @@
 #include "core/replica_plan.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace collrep::core {
 
@@ -48,18 +49,44 @@ ReplicaPlan plan_local_dedup(const LocalDedupResult& local,
   return plan;
 }
 
+std::vector<const FpEntry*> resolve_view(const LocalDedupResult& local,
+                                         const BoundedFpSet& gview) {
+  std::vector<const FpEntry*> entries;
+  entries.reserve(local.unique_chunks.size());
+  for (const auto chunk_index : local.unique_chunks) {
+    entries.push_back(gview.find(local.chunk_fps[chunk_index]));
+  }
+  return entries;
+}
+
 ReplicaPlan plan_collective(const LocalDedupResult& local,
                             const chunk::Chunker& chunker,
                             const BoundedFpSet& gview, int my_rank,
                             int k_effective, const ShuffleContext* shuffle_ctx) {
+  return plan_collective(local, chunker, gview, resolve_view(local, gview),
+                         my_rank, k_effective, shuffle_ctx);
+}
+
+ReplicaPlan plan_collective(const LocalDedupResult& local,
+                            const chunk::Chunker& chunker,
+                            const BoundedFpSet& gview,
+                            std::span<const FpEntry* const> entries,
+                            int my_rank, int k_effective,
+                            const ShuffleContext* shuffle_ctx) {
+  if (entries.size() != local.unique_chunks.size()) {
+    throw std::invalid_argument(
+        "plan_collective: one view entry per unique chunk expected");
+  }
   ReplicaPlan plan;
   plan.load.assign(static_cast<std::size_t>(k_effective), 0);
+  // Scratch of the avoidance pass, reused across chunks.
+  std::vector<std::int32_t> taken;
+  std::vector<int> next_slot;
 
   for (std::size_t u = 0; u < local.unique_chunks.size(); ++u) {
     const auto chunk_index = local.unique_chunks[u];
-    const auto& fp = local.chunk_fps[chunk_index];
     const std::uint32_t length = chunker.ref(chunk_index).length;
-    const FpEntry* entry = gview.find(fp);
+    const FpEntry* entry = entries[u];
 
     if (entry == nullptr) {
       // Not globally tracked: treated as unique; this rank keeps a copy
@@ -112,8 +139,8 @@ ReplicaPlan plan_collective(const LocalDedupResult& local,
         // a target set that is disjoint from the designated ranks *and*
         // from each other — the chunk lands on K distinct stores.
         const int n = static_cast<int>(shuffle_ctx->shuffle.size());
-        std::vector<std::int32_t> taken(designated.begin(), designated.end());
-        std::vector<int> next_slot(static_cast<std::size_t>(d), 1);
+        taken.assign(designated.begin(), designated.end());
+        next_slot.assign(static_cast<std::size_t>(d), 1);
         for (int t = 0; t < extras; ++t) {
           const int sender_idx = t % d;
           const std::int32_t sender = designated[sender_idx];

@@ -59,6 +59,19 @@ struct ShuffleContext {
                                            const chunk::Chunker& chunker,
                                            int k_effective);
 
+// The view entry of each locally unique chunk, by index into
+// LocalDedupResult::unique_chunks (nullptr where the view does not track
+// the fingerprint).  A dump looks each chunk up once and plans twice.
+[[nodiscard]] std::vector<const FpEntry*> resolve_view(
+    const LocalDedupResult& local, const BoundedFpSet& gview);
+
+// `entries` is resolve_view(local, gview); the pointers are into `gview`.
+[[nodiscard]] ReplicaPlan plan_collective(
+    const LocalDedupResult& local, const chunk::Chunker& chunker,
+    const BoundedFpSet& gview, std::span<const FpEntry* const> entries,
+    int my_rank, int k_effective, const ShuffleContext* shuffle_ctx);
+
+// Same, resolving the view itself.
 [[nodiscard]] ReplicaPlan plan_collective(
     const LocalDedupResult& local, const chunk::Chunker& chunker,
     const BoundedFpSet& gview, int my_rank, int k_effective,

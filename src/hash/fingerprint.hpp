@@ -3,10 +3,13 @@
 // The paper uses SHA1 (160 bits) as the default fingerprint, so Fingerprint
 // is sized for the largest supported digest; shorter hashes (FNV/XX64/CRC)
 // zero-pad.  Fingerprints are ordered and hashable so they can key ordered
-// and unordered containers, and they serialize as raw bytes.
+// and unordered containers, and they serialize as raw bytes.  The order is
+// byte-lexicographic, computed as the numeric order of three big-endian
+// words (DESIGN.md §9.2).
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
@@ -16,6 +19,46 @@
 #include <string>
 
 namespace collrep::hash {
+
+namespace detail {
+
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "big-endian loads assume a little- or big-endian host");
+
+[[nodiscard]] inline std::uint64_t load_be64(const std::uint8_t* p) noexcept {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+[[nodiscard]] inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
+
+inline void store_be64(std::uint8_t* p, std::uint64_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof v);
+}
+
+inline void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(p, &v, sizeof v);
+}
+
+}  // namespace detail
 
 class Fingerprint {
  public:
@@ -62,7 +105,42 @@ class Fingerprint {
     return out;
   }
 
-  friend auto operator<=>(const Fingerprint&, const Fingerprint&) = default;
+  // 20 bytes read as one big-endian 160-bit integer: two u64 limbs and a
+  // u32, most significant first.  The limbs' numeric order is the bytes'
+  // lexicographic order.
+  struct Limbs {
+    std::uint64_t w0 = 0;
+    std::uint64_t w1 = 0;
+    std::uint32_t w2 = 0;
+  };
+  [[nodiscard]] static Limbs load_limbs(const std::uint8_t* p) noexcept {
+    return {detail::load_be64(p), detail::load_be64(p + 8),
+            detail::load_be32(p + 16)};
+  }
+  static void store_limbs(std::uint8_t* p, const Limbs& l) noexcept {
+    detail::store_be64(p, l.w0);
+    detail::store_be64(p + 8, l.w1);
+    detail::store_be32(p + 16, l.w2);
+  }
+  [[nodiscard]] Limbs limbs() const noexcept {
+    return load_limbs(bytes_.data());
+  }
+
+  // Byte-lexicographic order, three word compares instead of 20 byte ones.
+  friend std::strong_ordering operator<=>(const Fingerprint& a,
+                                          const Fingerprint& b) noexcept {
+    const std::uint8_t* x = a.bytes_.data();
+    const std::uint8_t* y = b.bytes_.data();
+    if (const auto x0 = detail::load_be64(x), y0 = detail::load_be64(y);
+        x0 != y0) {
+      return x0 <=> y0;
+    }
+    if (const auto x1 = detail::load_be64(x + 8), y1 = detail::load_be64(y + 8);
+        x1 != y1) {
+      return x1 <=> y1;
+    }
+    return detail::load_be32(x + 16) <=> detail::load_be32(y + 16);
+  }
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
 
  private:

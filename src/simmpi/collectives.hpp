@@ -93,7 +93,9 @@ class CollectiveScope {
 
 }  // namespace detail
 
-// Broadcast `value` from `root` to all ranks (binomial tree).
+// Broadcast `value` from `root` to all ranks (binomial tree).  The root
+// serializes once; every other rank forwards the bytes it received and
+// deserializes them once.
 template <class T>
 void bcast(Comm& comm, T& value, int root = 0,
            std::source_location loc = std::source_location::current()) {
@@ -104,9 +106,13 @@ void bcast(Comm& comm, T& value, int root = 0,
   if (n == 1) return;
   const int vrank = (comm.rank() - root + n) % n;
 
+  std::vector<std::uint8_t> bytes;
   if (vrank != 0) {
     const int parent_v = vrank ^ (vrank & -vrank);
-    value = comm.recv_value<T>((parent_v + root) % n, tags::kBcast);
+    bytes = comm.recv_bytes((parent_v + root) % n, tags::kBcast);
+    value = from_bytes<T>(bytes);
+  } else {
+    bytes = to_bytes(value);
   }
   const int lsb = (vrank == 0) ? (1 << 30) : (vrank & -vrank);
   // Children are vrank + mask for every power of two below our lowest
@@ -116,7 +122,7 @@ void bcast(Comm& comm, T& value, int root = 0,
   for (int mask = top >> 1; mask >= 1; mask >>= 1) {
     const int child_v = vrank | mask;
     if (child_v != vrank && child_v < n) {
-      comm.send_value((child_v + root) % n, tags::kBcast, value);
+      comm.send_bytes((child_v + root) % n, tags::kBcast, bytes);
     }
   }
   comm.fault_point("coll.post");

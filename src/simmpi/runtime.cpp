@@ -135,13 +135,12 @@ void RunState::abort() noexcept {
 
 void RunState::wake_blocked_ranks() {
   for (auto& mb : mailboxes_) mb->notify_state_change();
-  sync_cv_.notify_all();
-  wake_gather_waiters();
+  wake_parked_ranks();
 }
 
-void RunState::wake_gather_waiters() {
-  gather_wake_.fetch_add(1);
-  gather_wake_.notify_all();
+void RunState::wake_parked_ranks() {
+  wake_.fetch_add(1);
+  wake_.notify_all();
 }
 
 double RunState::rendezvous_cost(int participants) const noexcept {
@@ -173,8 +172,8 @@ void RunState::complete_sync_locked() {
   sync_count_ = 0;
   sync_max_ = 0.0;
   sync_on_release_ = nullptr;
-  ++sync_gen_;
-  sync_cv_.notify_all();
+  sync_gen_.fetch_add(1);  // publishes the release to lock-free readers
+  wake_parked_ranks();
 }
 
 RunState::SyncResult RunState::sync(
@@ -184,7 +183,7 @@ RunState::SyncResult RunState::sync(
   // Once a shrink revoked the old world, no rendezvous of that world can
   // complete (the parked ranks will never arrive) — unwind immediately.
   if (revoked_.load()) throw RankDeadError{};
-  const std::uint64_t gen = sync_gen_;
+  const std::uint64_t gen = sync_gen_.load();
   sync_max_ = std::max(sync_max_, my_time);
   if (on_release && !sync_on_release_) {
     // All ranks pass the same semantic closure for the same collective
@@ -198,12 +197,23 @@ RunState::SyncResult RunState::sync(
     complete_sync_locked();
     return SyncResult{sync_release_, sync_deaths_};
   }
-  // Scheduler-internal barrier parking (replaced wholesale by the
-  // fiber port).  collcheck: fiber-safe
-  sync_cv_.wait(lk, [&] {
-    return sync_gen_ != gen || aborted_.load() || revoked_.load();
-  });
-  if (sync_gen_ != gen) return SyncResult{sync_release_, sync_deaths_};
+  // A released result stays put until the next release, which needs this
+  // rank to arrive again, so it may be read without the lock.
+  for (;;) {
+    // Read the wake count before the checks: an event after them bumps it,
+    // so the wait below cannot miss it.
+    const std::uint32_t seen = wake_.load();
+    if (sync_gen_.load() != gen) return SyncResult{sync_release_, sync_deaths_};
+    if (aborted_.load() || revoked_.load()) break;
+    lk.unlock();
+    // Scheduler-internal barrier parking (replaced wholesale by the fiber
+    // port).  collcheck: fiber-safe
+    wake_.wait(seen);
+    // The common wake-up: the rendezvous released.  Return without the
+    // lock, so the woken ranks do not queue on it.
+    if (sync_gen_.load() != gen) return SyncResult{sync_release_, sync_deaths_};
+    lk.lock();
+  }
   // Woken without a release: the run aborted, or a shrink revoked this
   // rendezvous.  Withdraw our contribution (the last one out clears the
   // accumulator so a post-shrink rendezvous starts clean) and unwind.
@@ -243,7 +253,7 @@ RunState::ShrinkResult RunState::shrink_rendezvous(int rank, double my_time) {
   member_[static_cast<std::size_t>(rank)].store(detail::kMemberParked);
   ++parked_count_;
   shrink_max_ = std::max(shrink_max_, my_time);
-  const std::uint64_t gen = shrink_gen_;
+  const std::uint64_t gen = shrink_gen_.load();
   revoked_.store(true);
   // Wake stragglers blocked in sync()/pop()/gather() so they observe the
   // revoke and this rank's parking (a receive from this rank, or an
@@ -253,10 +263,16 @@ RunState::ShrinkResult RunState::shrink_rendezvous(int rank, double my_time) {
   wake_blocked_ranks();
   lk.lock();
   maybe_complete_shrink_locked();
-  // Scheduler-internal shrink parking (see above).  collcheck: fiber-safe
-  sync_cv_.wait(lk, [&] { return shrink_gen_ != gen || aborted_.load(); });
-  if (shrink_gen_ == gen) throw AbortedError{};
-  return shrink_result_;
+  lk.unlock();
+  // The result stays put until the next shrink, which needs this rank to
+  // park again, so it is read without the lock.
+  for (;;) {
+    const std::uint32_t seen = wake_.load();
+    if (shrink_gen_.load() != gen) return shrink_result_;
+    if (aborted_.load()) throw AbortedError{};
+    // Scheduler-internal shrink parking (see sync()).  collcheck: fiber-safe
+    wake_.wait(seen);
+  }
 }
 
 void RunState::maybe_complete_shrink_locked() {
@@ -293,15 +309,15 @@ void RunState::maybe_complete_shrink_locked() {
   // kSyncBegin/End pairing cannot collide with the next barrier.  No sync
   // waiter exists at this point (a waiter would not be parked), so
   // advancing the generation wakes nobody spuriously.
-  res.sync_gen = sync_gen_++;
+  res.sync_gen = sync_gen_.fetch_add(1);
   // Every allgather deposit of the old world is void; no survivor is
   // inside gather() (it would not be parked).
   gather_count_ = 0;
   gather_gen_.fetch_add(1);
   shrink_result_ = std::move(res);
   revoked_.store(false);
-  ++shrink_gen_;
-  sync_cv_.notify_all();
+  shrink_gen_.fetch_add(1);
+  wake_parked_ranks();
 }
 
 RunState::GatherOutcome RunState::gather(int pos, const std::vector<int>& group,
@@ -328,12 +344,12 @@ RunState::GatherOutcome RunState::gather(int pos, const std::vector<int>& group,
   const auto failure_pending = [&] {
     return revoked_.load() || death_count_ > known_deaths;
   };
-  if (failure_pending()) wake_gather_waiters();
+  if (failure_pending()) wake_parked_ranks();
   int k = 0;
   for (;;) {
     // Read the wake count before the checks: an event after them bumps it,
     // so the wait below cannot miss it.
-    const std::uint32_t seen = gather_wake_.load();
+    const std::uint32_t seen = wake_.load();
     if (gather_gen_.load() != gen) return GatherOutcome{&round, {}};
     if (aborted_.load()) throw AbortedError{};
     if (failure_pending()) k = gather_stall_locked(group, pos, gen);
@@ -341,7 +357,7 @@ RunState::GatherOutcome RunState::gather(int pos, const std::vector<int>& group,
     lk.unlock();
     // Scheduler-internal allgather parking (replaced wholesale by the fiber
     // port).  collcheck: fiber-safe
-    gather_wake_.wait(seen);
+    wake_.wait(seen);
     // The common wake-up: the round completed.  Return without the lock,
     // so the woken ranks do not queue on it.
     if (gather_gen_.load() != gen) return GatherOutcome{&round, {}};
@@ -411,7 +427,7 @@ void RunState::complete_gather_locked(const std::vector<int>& group) {
                       /*record=*/opts_.telemetry != nullptr, round.times);
   gather_count_ = 0;
   gather_gen_.fetch_add(1);  // publishes the round to lock-free readers
-  wake_gather_waiters();
+  wake_parked_ranks();
 }
 
 detail::WindowState& RunState::window_register(

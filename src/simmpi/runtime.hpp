@@ -389,7 +389,7 @@ class RunState {
   [[nodiscard]] int gather_stall_locked(const std::vector<int>& group,
                                         int pos, std::uint64_t gen) const;
   void wake_blocked_ranks();
-  void wake_gather_waiters();
+  void wake_parked_ranks();
   void reclaim_dead_windows();
   [[nodiscard]] double rendezvous_cost(int participants) const noexcept;
 
@@ -403,13 +403,23 @@ class RunState {
   std::unique_ptr<std::atomic<std::uint8_t>[]> member_;
   std::atomic<bool> revoked_{false};
 
+  // Rendezvous parking.  Every rendezvous (sync, shrink, gather) is
+  // entered under sync_mu_, but its waiters park on the atomic wake_ count
+  // and see their release in an atomic generation, written under
+  // sync_mu_ after the result.  So a woken waiter returns without re-taking
+  // the lock: a condition variable would hand sync_mu_ from one of the
+  // n - 1 woken ranks to the next.
   mutable std::mutex sync_mu_;
-  std::condition_variable sync_cv_;
+  // Bumped (and waited on) for every event a parked rank must look at: a
+  // release, a death, a shrink parker, an abort, and a gather deposit
+  // while a failure is pending.  SPMD ranks park in one rendezvous at a
+  // time, so one count serves all three kinds.
+  std::atomic<std::uint32_t> wake_{0};
   int live_count_;        // guarded by sync_mu_
   int parked_count_ = 0;  // guarded by sync_mu_
   std::uint64_t death_count_ = 0;  // guarded by sync_mu_
   int sync_count_ = 0;
-  std::uint64_t sync_gen_ = 0;
+  std::atomic<std::uint64_t> sync_gen_{0};
   double sync_max_ = 0.0;
   double sync_release_ = 0.0;
   std::uint64_t sync_deaths_ = 0;
@@ -417,23 +427,16 @@ class RunState {
   // because its owner blocks inside sync() until the release.
   const std::function<double(double)>* sync_on_release_ = nullptr;
   // Shrink rendezvous state (guarded by sync_mu_).
-  std::uint64_t shrink_gen_ = 0;
+  std::atomic<std::uint64_t> shrink_gen_{0};
   std::uint64_t shrink_epoch_ = 0;
   double shrink_max_ = 0.0;
   ShrinkResult shrink_result_;
   // Allgather rendezvous state (guarded by sync_mu_, except that a
   // completed round is read without it; see GatherRound).  The generation
   // is separate from sync_gen_, which collprof's kSyncBegin/End ids follow.
-  // It is written under sync_mu_ but atomic, so a woken waiter can see its
-  // round complete without re-taking the lock: a condition variable would
-  // hand sync_mu_ from one of the n - 1 woken ranks to the next.
   std::array<detail::GatherRound, 2> gather_rounds_;
   std::atomic<std::uint64_t> gather_gen_{0};
   int gather_count_ = 0;
-  // Bumped (and waited on) for every event a gather waiter must look at:
-  // completion, a death, a shrink parker, an abort, and a deposit while a
-  // failure is pending.
-  std::atomic<std::uint32_t> gather_wake_{0};
 
   std::mutex win_mu_;
   std::vector<std::unique_ptr<detail::WindowState>> windows_;

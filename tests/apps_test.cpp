@@ -219,6 +219,38 @@ double measured_local_dup(const std::vector<std::uint8_t>& data,
   return 1.0 - static_cast<double>(seen.size()) / static_cast<double>(chunks);
 }
 
+// fill stores whole words; its bytes must be the byte-at-a-time stream:
+// each draw's bytes least significant first, the tail cut from one more
+// draw.
+TEST(SplitMix64, FillMatchesByteLoop) {
+  const auto byte_loop = [](std::uint64_t seed, std::size_t len) {
+    apps::SplitMix64 rng(seed);
+    std::vector<std::uint8_t> out(len);
+    std::size_t i = 0;
+    while (i < len) {
+      const std::uint64_t v = rng.next();
+      for (int b = 0; b < 8 && i < len; ++b) {
+        out[i++] = static_cast<std::uint8_t>(v >> (8 * b));
+      }
+    }
+    return out;
+  };
+  std::vector<std::size_t> lengths{4096};
+  for (std::size_t len = 0; len <= 17; ++len) lengths.push_back(len);
+  for (const std::uint64_t seed : {0ull, 1ull, 0xDEADBEEFull}) {
+    for (const std::size_t len : lengths) {
+      apps::SplitMix64 rng(seed);
+      std::vector<std::uint8_t> out(len);
+      rng.fill(out);
+      EXPECT_EQ(out, byte_loop(seed, len)) << "seed " << seed << " len " << len;
+      // Both consumed the same draws.
+      apps::SplitMix64 ref(seed);
+      for (std::size_t d = 0; d < (len + 7) / 8; ++d) (void)ref.next();
+      EXPECT_EQ(rng.next(), ref.next()) << "seed " << seed << " len " << len;
+    }
+  }
+}
+
 TEST(Synth, Deterministic) {
   apps::SynthSpec spec;
   spec.chunks = 64;

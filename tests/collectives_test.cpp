@@ -1,10 +1,11 @@
 // Collectives vs sequential oracles, across a sweep of rank counts
 // (including non-powers of two, which stress the binomial trees); the
 // allgather's replayed ring vs the message-based ring it models; and the
-// allgather rendezvous under rank failure.
+// allgather, barrier and fence rendezvous under rank failure.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -146,6 +147,42 @@ TEST(Collectives, BcastLargePayload) {
     ASSERT_EQ(data.size(), static_cast<std::size_t>(1 << 18));
     EXPECT_EQ(data[12345], 0xCD);
   });
+}
+
+// A payload whose serialization counts its calls.
+struct Counted {
+  int value = 0;
+};
+std::atomic<int> g_saves{0};
+std::atomic<int> g_loads{0};
+void save(simmpi::OArchive& ar, const Counted& c) {
+  g_saves.fetch_add(1);
+  ar.put(c.value);
+}
+void load(simmpi::IArchive& ar, Counted& c) {
+  g_loads.fetch_add(1);
+  ar.get(c.value);
+}
+
+// The root serializes once; the other ranks forward the bytes they
+// received and deserialize once each.
+TEST(Collectives, BcastSerializesOnceAndForwardsBytes) {
+  for (const int n : {1, 2, 5, 8, 13}) {
+    for (const int root : {0, n - 1}) {
+      g_saves.store(0);
+      g_loads.store(0);
+      std::vector<int> got(static_cast<std::size_t>(n), -1);
+      simmpi::Runtime rt(n);
+      rt.run([&](simmpi::Comm& comm) {
+        Counted c{comm.rank() == root ? 42 : comm.rank()};
+        simmpi::bcast(comm, c, root);
+        got[static_cast<std::size_t>(comm.rank())] = c.value;
+      });
+      EXPECT_EQ(g_saves.load(), n > 1 ? 1 : 0) << "n " << n << " root " << root;
+      EXPECT_EQ(g_loads.load(), n - 1) << "n " << n << " root " << root;
+      EXPECT_EQ(got, std::vector<int>(static_cast<std::size_t>(n), 42));
+    }
+  }
 }
 
 TEST(Collectives, ReduceIsDeterministicAcrossRuns) {
@@ -488,5 +525,133 @@ TEST(AllgatherFailure, StaleDepositOfDeadRankIsNeverRead) {
     EXPECT_EQ(last[ur], (std::vector<int>{300, 301, 302, 304}));
   }
 }
+
+// -- Barrier and fence under rank failure ------------------------------------
+//
+// Both park in RunState::sync, like the barriers inside win_create and
+// Window::free.  Each case holds the other ranks until they are on their
+// way into the rendezvous, then gives them time to park before the event.
+
+enum class Rendezvous { kBarrier, kFence };
+
+class BarrierFailure : public ::testing::TestWithParam<Rendezvous> {
+ protected:
+  void enter(simmpi::Comm& comm, simmpi::Window& win) const {
+    if (GetParam() == Rendezvous::kBarrier) {
+      comm.barrier();
+    } else {
+      win.fence();
+    }
+  }
+};
+
+void wait_until_parked(const std::atomic<int>& entered, int count) {
+  while (entered.load() < count) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST_P(BarrierFailure, DeathWhileOthersParkedFailsEverySurvivor) {
+  constexpr int kRanks = 5;
+  constexpr int kVictim = 2;
+  simmpi::RuntimeOptions opts;
+  opts.contain_failures = true;
+  std::atomic<int> entered{0};
+  std::vector<int> threw(kRanks, 0);
+  std::vector<std::vector<int>> after(kRanks);
+  simmpi::Runtime rt(kRanks, opts);
+  rt.run([&](simmpi::Comm& comm) {
+    const int w = comm.world_rank();
+    const auto uw = static_cast<std::size_t>(w);
+    simmpi::Window win = comm.win_create(std::size_t{64});
+    if (w == kVictim) {
+      wait_until_parked(entered, kRanks - 1);
+      throw simmpi::RankFailure(w, "test kill");
+    }
+    entered.fetch_add(1);
+    try {
+      enter(comm, win);
+    } catch (const simmpi::RankDeadError&) {
+      threw[uw] = comm.failure_pending() ? 1 : 2;
+      (void)comm.shrink();
+    }
+    after[uw] = simmpi::allgather(comm, w);
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    if (r == kVictim) continue;
+    const auto ur = static_cast<std::size_t>(r);
+    EXPECT_EQ(threw[ur], 1) << "rank " << r;
+    EXPECT_EQ(after[ur], (std::vector<int>{0, 1, 3, 4})) << "rank " << r;
+  }
+}
+
+TEST_P(BarrierFailure, AbortedRunThrowsAbortedError) {
+  constexpr int kRanks = 4;
+  std::atomic<int> entered{0};
+  std::atomic<int> aborted{0};
+  simmpi::Runtime rt(kRanks);
+  EXPECT_THROW(rt.run([&](simmpi::Comm& comm) {
+    simmpi::Window win = comm.win_create(std::size_t{64});
+    if (comm.rank() == 1) {
+      wait_until_parked(entered, kRanks - 1);
+      throw std::runtime_error("primary failure");
+    }
+    entered.fetch_add(1);
+    try {
+      enter(comm, win);
+    } catch (const simmpi::AbortedError&) {
+      aborted.fetch_add(1);
+      throw;
+    }
+  }),
+               std::runtime_error);
+  EXPECT_EQ(aborted.load(), kRanks - 1);
+}
+
+// A rank that parks in a shrink revokes the world: the ranks parked in the
+// rendezvous wake into RankDeadError, shrink with it, and continue.
+TEST_P(BarrierFailure, ShrinkParkerWakesParkedRanks) {
+  constexpr int kRanks = 5;
+  constexpr int kParker = 3;
+  simmpi::RuntimeOptions opts;
+  opts.contain_failures = true;
+  std::atomic<int> entered{0};
+  std::vector<int> threw(kRanks, 0);
+  std::vector<std::size_t> dead(kRanks, 99);
+  std::vector<std::vector<int>> after(kRanks);
+  simmpi::Runtime rt(kRanks, opts);
+  rt.run([&](simmpi::Comm& comm) {
+    const int w = comm.world_rank();
+    const auto uw = static_cast<std::size_t>(w);
+    simmpi::Window win = comm.win_create(std::size_t{64});
+    // collcheck:allow(CC-SCHED-DIV) — the parker skips the rendezvous
+    if (w == kParker) {
+      wait_until_parked(entered, kRanks - 1);
+      dead[uw] = comm.shrink().dead.size();
+    } else {
+      entered.fetch_add(1);
+      try {
+        enter(comm, win);  // collcheck:allow(CC-COLL-DIV-CALL)
+      } catch (const simmpi::RankDeadError&) {
+        threw[uw] = comm.failure_pending() ? 1 : 2;
+        dead[uw] = comm.shrink().dead.size();
+      }
+    }
+    after[uw] = simmpi::allgather(comm, w);
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    const auto ur = static_cast<std::size_t>(r);
+    EXPECT_EQ(threw[ur], r == kParker ? 0 : 1) << "rank " << r;
+    EXPECT_EQ(dead[ur], 0u) << "rank " << r;
+    EXPECT_EQ(after[ur], (std::vector<int>{0, 1, 2, 3, 4})) << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rendezvous, BarrierFailure,
+    ::testing::Values(Rendezvous::kBarrier, Rendezvous::kFence),
+    [](const ::testing::TestParamInfo<Rendezvous>& param_info) {
+      return std::string(param_info.param == Rendezvous::kBarrier ? "Barrier"
+                                                                  : "Fence");
+    });
 
 }  // namespace

@@ -3,6 +3,9 @@
 // against its specification constants, and the Fingerprint/registry API.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <compare>
 #include <cstring>
 #include <random>
 #include <string>
@@ -230,6 +233,60 @@ TEST(Fingerprint, Ordering) {
   EXPECT_LT(a, b);  // little-endian low byte differs
   EXPECT_NE(a, b);
   EXPECT_EQ(a, Fingerprint::from_u64(1));
+}
+
+// The word-wise operator<=> must be the byte-lexicographic order.  Random
+// pairs, plus pairs equal but for one byte at each limb edge (7/8, 15/16)
+// and at the last byte.
+TEST(Fingerprint, WordOrderIsByteLexicographic) {
+  const auto bytewise = [](const Fingerprint& a, const Fingerprint& b) {
+    const auto x = a.bytes();
+    const auto y = b.bytes();
+    return std::lexicographical_compare_three_way(x.begin(), x.end(),
+                                                  y.begin(), y.end());
+  };
+  std::mt19937_64 rng(7);
+  const auto random_fp = [&] {
+    Fingerprint fp;
+    for (auto& byte : fp.bytes()) byte = static_cast<std::uint8_t>(rng());
+    return fp;
+  };
+  std::vector<std::pair<Fingerprint, Fingerprint>> pairs;
+  for (int i = 0; i < 2000; ++i) pairs.emplace_back(random_fp(), random_fp());
+  for (const std::size_t at : {0, 7, 8, 15, 16, 19}) {
+    for (int i = 0; i < 64; ++i) {
+      const Fingerprint a = random_fp();
+      Fingerprint b = a;
+      b.bytes()[at] = static_cast<std::uint8_t>(rng());
+      pairs.emplace_back(a, b);
+      pairs.emplace_back(b, a);
+      // The top bit of the differing byte decides a signed compare.
+      b.bytes()[at] = static_cast<std::uint8_t>(a.bytes()[at] ^ 0x80u);
+      pairs.emplace_back(a, b);
+    }
+  }
+  for (const auto& [a, b] : pairs) {
+    ASSERT_EQ(a <=> b, bytewise(a, b)) << a.hex() << " vs " << b.hex();
+    ASSERT_EQ(a < b, bytewise(a, b) < 0);
+    ASSERT_EQ(a == b, bytewise(a, b) == 0);
+  }
+  EXPECT_EQ(pairs.front().first <=> pairs.front().first,
+            std::strong_ordering::equal);
+}
+
+TEST(Fingerprint, LimbsRoundTrip) {
+  std::array<std::uint8_t, Fingerprint::kBytes> bytes{};
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(0x11 * (i + 1));
+  }
+  const Fingerprint fp{std::span<const std::uint8_t>{bytes}};
+  const auto limbs = fp.limbs();
+  EXPECT_EQ(limbs.w0, 0x1122334455667788ull);
+  EXPECT_EQ(limbs.w1, 0x99AABBCCDDEEFF10ull);
+  EXPECT_EQ(limbs.w2, 0x21324354u);
+  std::array<std::uint8_t, Fingerprint::kBytes> out{};
+  Fingerprint::store_limbs(out.data(), limbs);
+  EXPECT_EQ(out, bytes);
 }
 
 TEST(Fingerprint, HashUsableInContainers) {

@@ -98,9 +98,11 @@ TEST_P(NodeDisjointProperty, NeverIncreasesAndZeroWhenFeasible) {
     std::swap(shuffle[static_cast<std::size_t>(i)], shuffle[j]);
   }
 
-  const int before = core::same_node_partner_count(shuffle, k, cluster);
-  const auto repaired = core::make_node_disjoint(shuffle, k, cluster);
-  const int after = core::same_node_partner_count(repaired, k, cluster);
+  std::vector<int> node_of;
+  for (int r = 0; r < n; ++r) node_of.push_back(cluster.node_of(r));
+  const int before = core::same_node_partner_count(shuffle, k, node_of);
+  const auto repaired = core::make_node_disjoint(shuffle, k, node_of);
+  const int after = core::same_node_partner_count(repaired, k, node_of);
 
   EXPECT_LE(after, before);
 

@@ -140,10 +140,11 @@ TEST(Containment, SingleDeathShrinksAndContinues) {
 }
 
 // After a shrink, dense group ranks are no longer world ranks, so the
-// node-shared HDD charges of DUMP_OUTPUT and RESTORE_INPUT must map ranks
-// to nodes through their world rank.  Three ranks, two per node: once world
-// rank 0 dies, world rank 1 (dense 0) is alone on node 0 and world rank 2
-// (dense 1) alone on node 1.
+// node-shared HDD charges of DUMP_OUTPUT and RESTORE_INPUT, and the
+// same-node partner count and repair, must map ranks to nodes through
+// their world rank.  Three ranks, two per node: once world rank 0 dies,
+// world rank 1 (dense 0) is alone on node 0 and world rank 2 (dense 1)
+// alone on node 1, so neither survivor's partner shares its node.
 TEST(Containment, ShrunkMultiNodeGroupDumpsAndRestores) {
   simmpi::RuntimeOptions opts;
   opts.contain_failures = true;
@@ -152,6 +153,8 @@ TEST(Containment, ShrunkMultiNodeGroupDumpsAndRestores) {
   std::vector<chunk::ChunkStore*> ptrs{&stores[0], &stores[1]};
   std::vector<std::vector<std::uint8_t>> datasets(2);
   std::vector<std::vector<std::uint8_t>> restored(2);
+  std::vector<std::uint32_t> same_node(2, 99);
+  std::vector<std::uint32_t> same_node_aware(2, 99);
   simmpi::Runtime rt(3, opts);
   rt.run([&](simmpi::Comm& comm) {
     if (comm.world_rank() == 0) throw simmpi::RankFailure(0, "test kill");
@@ -170,12 +173,20 @@ TEST(Containment, ShrunkMultiNodeGroupDumpsAndRestores) {
     chunk::Dataset ds;
     ds.add_segment(datasets[d]);
     core::Dumper dumper(comm, stores[d], identity_ring_config());
-    (void)dumper.dump_output(ds, 2);
+    same_node[d] = dumper.dump_output(ds, 2).same_node_partners;
     auto [result, stats] = core::restore_input(comm, ptrs);
     EXPECT_GT(stats.total_time_s, 0.0);
     restored[d] = std::move(result.segments.at(0));
+
+    auto aware_cfg = identity_ring_config();
+    aware_cfg.node_aware_partners = true;
+    aware_cfg.epoch = 1;
+    core::Dumper aware(comm, stores[d], aware_cfg);
+    same_node_aware[d] = aware.dump_output(ds, 2).same_node_partners;
   });
   EXPECT_EQ(restored, datasets);
+  EXPECT_EQ(same_node, (std::vector<std::uint32_t>{0, 0}));
+  EXPECT_EQ(same_node_aware, (std::vector<std::uint32_t>{0, 0}));
 }
 
 // -- RecoveryService over hand-built stores ------------------------------------
