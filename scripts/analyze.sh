@@ -39,7 +39,7 @@ done
 
 build_dir="${COLLCHECK_BUILD_DIR:-build-analyze}"
 cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$build_dir" --target collcheck -j >/dev/null
+cmake --build "$build_dir" --target collcheck -j "$(nproc)" >/dev/null
 
 collcheck_bin="$build_dir/tools/collcheck/collcheck"
 

@@ -19,7 +19,7 @@ reps="${COLLREP_BENCH_REPS:-5}"
 out="${COLLREP_BENCH_OUT:-$repo/BENCH_kernels.json}"
 
 cmake -B "$build" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "$build" -j --target micro_primitives fig3b_reduction_overhead_hpccg
+cmake --build "$build" -j "$(nproc)" --target micro_primitives fig3b_reduction_overhead_hpccg
 
 echo "== kernel micro-benchmarks (median of $reps) =="
 "$build/bench/micro_primitives" \

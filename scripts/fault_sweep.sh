@@ -17,7 +17,7 @@ benches=(ablate_failures ablate_recovery)
 for b in "${benches[@]}"; do
   if [[ ! -x "build/bench/$b" ]]; then
     cmake -B build -S .
-    cmake --build build -j --target "$b"
+    cmake --build build -j "$(nproc)" --target "$b"
   fi
 done
 

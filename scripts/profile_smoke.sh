@@ -19,7 +19,7 @@ out_dir="${COLLREP_PROFILE_OUT:-$build_dir/profile-out}"
 mkdir -p "$out_dir"
 
 cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$build_dir" -j \
+cmake --build "$build_dir" -j "$(nproc)" \
     --target fig3b_reduction_overhead_hpccg collprof >/dev/null
 
 echo "== profile: fig3b with causal tracing =="

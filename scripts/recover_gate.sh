@@ -13,7 +13,7 @@ cd "$repo"
 bench="${1:-build/bench/ablate_recovery}"
 if [[ ! -x "$bench" ]]; then
   cmake -B build -S .
-  cmake --build build -j --target ablate_recovery
+  cmake --build build -j "$(nproc)" --target ablate_recovery
   bench="build/bench/ablate_recovery"
 fi
 

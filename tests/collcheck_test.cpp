@@ -56,6 +56,12 @@ TEST(Collcheck, DivergentCollectiveFamily) {
       {"CC-SCHED-DIV", std::string(kFx) + "divergent/bad_interproc.cpp", 15},
       {"CC-COLL-DIV-CALL", std::string(kFx) + "divergent/bad_interproc.cpp",
        16},
+      // bad_window.cpp: a tracked window's fence is a collective, so the
+      // schedule pass sees the rank-guarded epoch too.
+      {"CC-SCHED-DIV", std::string(kFx) + "divergent/bad_window.cpp", 11},
+      {"CC-COLL-DIV", std::string(kFx) + "divergent/bad_window.cpp", 12},
+      {"CC-SCHED-DIV", std::string(kFx) + "divergent/bad_window.cpp", 23},
+      {"CC-COLL-DIV-CALL", std::string(kFx) + "divergent/bad_window.cpp", 24},
   };
   EXPECT_EQ(keys(result), expected);
   // clean.cpp (unconditional collectives, rank-guarded p2p, inline allow)
@@ -357,12 +363,18 @@ TEST(Collcheck, SarifOutputIsWellFormed) {
 }
 
 TEST(Collcheck, RankConditionalP2pDoesNotFire) {
+  // Also through a helper: a callee that reaches only p2p ops is not
+  // collective-bearing, so calling it under a rank branch is fine.
   const std::string src =
+      "void recv_one(collrep::simmpi::Comm& comm) {\n"
+      "  (void)comm.recv_value<int>(0, 7);\n"
+      "}\n"
       "void root_io(collrep::simmpi::Comm& comm) {\n"
       "  if (comm.rank() == 0) {\n"
       "    comm.send_value(1, 7, 123);\n"
       "  } else {\n"
       "    (void)comm.recv_value<int>(0, 7);\n"
+      "    recv_one(comm);\n"
       "  }\n"
       "  comm.barrier();\n"
       "}\n";
@@ -452,6 +464,10 @@ TEST(Collcheck, ScheduleDumpIsByteStableAndCoversEntryPoints) {
             std::string::npos);
   // p2p ops are visible in dump renderings (unlike ORDER signatures).
   EXPECT_NE(a.find("p2p:send_value"), std::string::npos);
+  // A tracked window's fence and free are collective ops of their own,
+  // not calls into Window::free's body.
+  EXPECT_NE(a.find("ship_shortfall{ win_create ; fence ; free }"),
+            std::string::npos);
 }
 
 TEST(Collcheck, OrderSignatureInlinesHelpersTransparently) {

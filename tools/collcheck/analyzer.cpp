@@ -41,18 +41,8 @@ const std::unordered_map<std::string, int>& layer_table() {
   return kRanks;
 }
 
-// Identifier sets driving the rules.  The collective call-name table comes
-// from the shared registry so collcheck, simmpi, obs and collprof can never
-// disagree about what counts as a collective.
-const std::unordered_set<std::string>& collective_free_names() {
-  static const std::unordered_set<std::string> kNames = {
-#define COLLREP_COLLECTIVE_OBS(Name, str) str,
-#define COLLREP_COLLECTIVE_ALIAS(str) str,
-#include "obs/collectives.def"
-  };
-  return kNames;
-}
-
+// Identifier sets driving the token rules.  The collective call-name table
+// is the shared registry behind is_registry_collective (dataflow.cpp).
 const std::unordered_set<std::string>& wall_clock_idents() {
   static const std::unordered_set<std::string> kNames = {
       "system_clock", "steady_clock", "high_resolution_clock",
@@ -258,22 +248,9 @@ void extract_functions(FileUnit& unit) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-function RMA + collective analysis (rank taint engine in taint.hpp)
+// Per-function rank taint, RMA epochs and collective classification (rank
+// taint engine in taint.hpp; the divergence rules live in schedule.cpp)
 // ---------------------------------------------------------------------------
-
-struct FnAnalysis {
-  std::vector<Finding> findings;
-};
-
-[[nodiscard]] bool is_collective_free_call(const CallSite& c) {
-  if (c.method) return false;
-  if (!collective_free_names().contains(c.name)) return false;
-  return c.qualifier.empty() || c.qualifier == "simmpi";
-}
-
-[[nodiscard]] bool is_collective_method(const CallSite& c) {
-  return c.method && (c.name == "barrier" || c.name == "win_create");
-}
 
 enum class WinState { kUnopened, kOpen, kNoSucceed };
 
@@ -281,17 +258,9 @@ void analyze_function(const FileUnit& unit, FunctionInfo& fn,
                       std::vector<Finding>& findings) {
   const Toks& toks = unit.lexed.tokens;
 
-  // ---- rank taint ----
-  TaintCtx ctx;
-  ctx.toks = &toks;
-  ctx.tainted_at.assign(toks.size(), 0);
-  collect_tainted_vars(ctx, fn.body_begin, fn.body_end);
-  (void)walk_region(ctx, fn.body_begin, fn.body_end, false, false);
-
-  for (CallSite& c : fn.calls) {
-    c.rank_conditional = c.tok < ctx.tainted_at.size() &&
-                         ctx.tainted_at[c.tok] != 0;
-  }
+  // ---- rank taint (the one run per function) ----
+  fn.taint = rank_taint(toks, fn.body_begin, fn.body_end);
+  for (CallSite& c : fn.calls) c.rank_conditional = fn.taint.at_tok(c.tok);
 
   // Variables whose value depends on which rank executes (assigned under
   // rank-conditional control flow) feed CC-P2P-TAGDIV; `me = comm.rank()`
@@ -303,7 +272,7 @@ void analyze_function(const FileUnit& unit, FunctionInfo& fn,
       continue;
     }
     if (is_punct(toks[i + 1], "=")) {
-      if (ctx.tainted_at[i] != 0) fn.divergent_vars.push_back(t.text);
+      if (fn.taint.at_tok(i)) fn.divergent_vars.push_back(t.text);
       // `alias = R.rank();` / `R.world_rank();`
       if (i + 7 < fn.body_end && toks[i + 2].kind == TokKind::kIdent &&
           is_punct(toks[i + 3], ".") &&
@@ -414,38 +383,13 @@ void analyze_function(const FileUnit& unit, FunctionInfo& fn,
     }
   }
 
-  // ---- direct collective marker (for the inter-procedural pass) ----
-  for (const CallSite& c : fn.calls) {
-    if (is_collective_free_call(c) || is_collective_method(c)) {
-      fn.has_direct_collective = true;
-      break;
-    }
-  }
-  // fence/free on tracked windows are collective too.
-  if (!fn.has_direct_collective) {
-    for (const CallSite& c : fn.calls) {
-      if (c.method && (c.name == "fence" || c.name == "free") &&
-          windows.contains(c.receiver)) {
-        fn.has_direct_collective = true;
-        break;
-      }
-    }
-  }
-
-  // ---- rank-divergent direct collectives ----
-  for (const CallSite& c : fn.calls) {
-    if (!c.rank_conditional) continue;
-    const bool window_collective =
-        c.method && (c.name == "fence" || c.name == "free") &&
-        windows.contains(c.receiver);
-    if (is_collective_free_call(c) || is_collective_method(c) ||
-        window_collective) {
-      findings.push_back(Finding{
-          std::string(kRuleCollDiv), unit.path, c.line,
-          "collective '" + c.name +
-              "' is reachable only under rank-dependent control flow; all "
-              "ranks must execute the same collective sequence"});
-    }
+  // ---- collective classification ----
+  for (CallSite& c : fn.calls) {
+    c.collective =
+        is_registry_collective(c) ||
+        (c.method && (c.name == "barrier" || c.name == "win_create")) ||
+        (c.method && (c.name == "fence" || c.name == "free") &&
+         windows.contains(c.receiver));
   }
 }
 
@@ -554,59 +498,6 @@ void check_layering(const FileUnit& unit, std::vector<Finding>& findings) {
           "sibling layers '" + unit.component + "' and '" + target +
               "' (both rank " + std::to_string(from_rank) +
               ") must not include each other"});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Inter-procedural divergent-collective propagation
-// ---------------------------------------------------------------------------
-
-void propagate_bearing(std::vector<FileUnit>& files,
-                       std::vector<Finding>& findings) {
-  // Name -> is any function with this name collective-bearing?
-  std::unordered_map<std::string, bool> bearing;
-  for (const FileUnit& u : files) {
-    for (const FunctionInfo& f : u.functions) {
-      auto& b = bearing[f.name];
-      b = b || f.has_direct_collective;
-    }
-  }
-  // Fixpoint over the name-collapsed call graph.
-  bool changed = true;
-  int rounds = 0;
-  while (changed && ++rounds < 64) {
-    changed = false;
-    for (FileUnit& u : files) {
-      for (FunctionInfo& f : u.functions) {
-        if (bearing[f.name]) continue;
-        for (const CallSite& c : f.calls) {
-          const auto it = bearing.find(c.name);
-          if (it != bearing.end() && it->second) {
-            bearing[f.name] = true;
-            changed = true;
-            break;
-          }
-        }
-      }
-    }
-  }
-  for (FileUnit& u : files) {
-    for (FunctionInfo& f : u.functions) {
-      f.collective_bearing = bearing[f.name] || f.has_direct_collective;
-      for (const CallSite& c : f.calls) {
-        if (!c.rank_conditional) continue;
-        if (is_collective_free_call(c) || is_collective_method(c)) {
-          continue;  // already reported as CC-COLL-DIV
-        }
-        const auto it = bearing.find(c.name);
-        if (it == bearing.end() || !it->second) continue;
-        findings.push_back(Finding{
-            std::string(kRuleCollDivCall), u.path, c.line,
-            "call to '" + c.name +
-                "' (which transitively executes collectives) is reachable "
-                "only under rank-dependent control flow"});
-      }
     }
   }
 }
@@ -791,7 +682,6 @@ AnalysisResult analyze_sources(
       analyze_function(unit, fn, result.findings);
     }
   }
-  propagate_bearing(result.files, result.findings);
   const SharedModel model = build_shared_model(result.files);
   run_race_rules(model, result.findings);
   run_exc_rules(model, result.findings);

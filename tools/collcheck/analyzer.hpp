@@ -1,5 +1,7 @@
-// collcheck analysis driver: file collection, per-file parsing, the four
-// rule families, and inter-procedural propagation.  See DESIGN.md §10.
+// collcheck analysis driver: file collection, per-file parsing, the
+// per-function pass (rank taint, RMA epochs, collective classification),
+// the token and layering rules, and the hand-off to the dataflow and
+// schedule rule passes.  See DESIGN.md §10, §13 and §15.
 #pragma once
 
 #include <string>

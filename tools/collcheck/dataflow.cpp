@@ -4,23 +4,13 @@
 #include "dataflow.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "tokutil.hpp"
 
 namespace collcheck {
 
 namespace {
-
-// The collective registry, shared with simmpi/obs/collprof via the
-// X-macro so the throw-site model can never disagree with the runtime.
-const std::unordered_set<std::string>& collective_names() {
-  static const std::unordered_set<std::string> kNames = {
-#define COLLREP_COLLECTIVE_OBS(Name, str) str,
-#define COLLREP_COLLECTIVE_ALIAS(str) str,
-#include "obs/collectives.def"
-  };
-  return kNames;
-}
 
 // Method names that block on a dead peer and therefore raise
 // RankDeadError (or a RankFailure sibling) in simmpi's failure protocol.
@@ -35,14 +25,6 @@ const std::unordered_set<std::string>& throwing_method_names() {
 bool is_guard_kind(const std::string& s) {
   return s == "scoped_lock" || s == "lock_guard" || s == "unique_lock" ||
          s == "shared_lock";
-}
-
-bool span_mentions(const Toks& toks, std::size_t b, std::size_t e,
-                   std::string_view ident) {
-  for (std::size_t i = b; i < e && i < toks.size(); ++i) {
-    if (is_ident(toks[i], ident)) return true;
-  }
-  return false;
 }
 
 // The mutex key of a guard argument: the tail of its member chain
@@ -560,17 +542,22 @@ bool SharedModel::call_may_throw(const CallSite& c) const {
   return it != throws_by_name.end() && it->second;
 }
 
-bool is_rankdead_throw_site(const CallSite& c) {
-  if (c.method) return throwing_method_names().contains(c.name);
-  return collective_names().contains(c.name) &&
+bool is_registry_collective(const CallSite& c) {
+  // The registry shared with simmpi/obs/collprof via the X-macro, so
+  // collcheck can never disagree with the runtime about what counts as a
+  // collective.
+  static const std::unordered_set<std::string> kNames = {
+#define COLLREP_COLLECTIVE_OBS(Name, str) str,
+#define COLLREP_COLLECTIVE_ALIAS(str) str,
+#include "obs/collectives.def"
+  };
+  return !c.method && kNames.contains(c.name) &&
          (c.qualifier.empty() || c.qualifier == "simmpi");
 }
 
-const std::unordered_set<std::string>& rank_idents() {
-  static const std::unordered_set<std::string> kNames = {
-      "rank", "rank_", "vrank", "world_rank", "my_rank", "myrank",
-      "self_rank"};
-  return kNames;
+bool is_rankdead_throw_site(const CallSite& c) {
+  if (c.method) return throwing_method_names().contains(c.name);
+  return is_registry_collective(c);
 }
 
 SharedModel build_shared_model(const std::vector<FileUnit>& files) {

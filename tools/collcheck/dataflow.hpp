@@ -8,7 +8,6 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "model.hpp"
@@ -95,7 +94,7 @@ struct SharedModel {
   std::vector<ClassInfo> classes;
   std::vector<FnFacts> fns;  // ordered by (file_index, fn_index)
   // Name-collapsed "can this callee reach a RankDeadError throw site"
-  // summary (same collapse as the CC-COLL-DIV-CALL bearing map).
+  // summary (same collapse as the schedule pass's op-bearing map).
   std::unordered_map<std::string, bool> throws_by_name;
 
   [[nodiscard]] const FnFacts* facts(std::size_t file_index,
@@ -107,12 +106,13 @@ struct SharedModel {
 [[nodiscard]] SharedModel build_shared_model(
     const std::vector<FileUnit>& files);
 
+// Is this a free call to an operation in the collective registry
+// (obs/collectives.def), unqualified or `simmpi::`-qualified?
+[[nodiscard]] bool is_registry_collective(const CallSite& c);
+
 // Is this call site itself a RankDeadError throw site (collective, recv,
 // shrink, fence, fault_point)?
 [[nodiscard]] bool is_rankdead_throw_site(const CallSite& c);
-
-// Rank-named identifiers shared with the taint rules.
-[[nodiscard]] const std::unordered_set<std::string>& rank_idents();
 
 // The three v2 rule passes.
 void run_race_rules(const SharedModel& m, std::vector<Finding>& findings);

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "lexer.hpp"
@@ -69,8 +70,28 @@ struct CallSite {
   bool method = false;    // preceded by `.` or `->`
   int line = 0;
   bool rank_conditional = false;  // under rank-derived control flow
+  // The one collective predicate, set by analyze_function: a registry free
+  // call, a barrier/win_create method, or fence/free on a window the RMA
+  // pass tracks.  Every schedule, divergence and fiber rule reads it.
+  bool collective = false;
   std::size_t tok = 0;        // token index of the callee name
   std::size_t args_open = 0;  // token index of the "(" opening the args
+};
+
+// Rank taint of one function body: rank_taint (taint.hpp) computes it
+// once per function in analyze_function, and the schedule pass reads it.
+struct RankTaint {
+  std::unordered_set<std::string> vars;  // assigned from rank-derived values
+  std::size_t base = 0;                  // token index of at[0]
+  // One flag per body token: under rank-dependent control flow.
+  // Byte-valued rather than vector<bool>: the bit-proxy specialization
+  // trips GCC's -Wnull-dereference inside libstdc++ when assign() is
+  // inlined.
+  std::vector<unsigned char> at;
+
+  [[nodiscard]] bool at_tok(std::size_t tok) const {
+    return tok >= base && tok - base < at.size() && at[tok - base] != 0;
+  }
 };
 
 // Per-function summary extracted by the parser.
@@ -84,9 +105,7 @@ struct FunctionInfo {
   bool is_dtor = false;
   bool is_noexcept = false;  // explicit noexcept (dtors are implicit)
   std::vector<CallSite> calls;
-  // Filled by the collective analysis:
-  bool has_direct_collective = false;
-  bool collective_bearing = false;  // transitively reaches a collective
+  RankTaint taint;  // filled by analyze_function
   // Variables assigned under rank-dependent control flow (feeds the
   // CC-P2P-TAGDIV rule) and aliases of `<receiver>.rank()` (feeds
   // CC-P2P-SELF): (alias, receiver) pairs.

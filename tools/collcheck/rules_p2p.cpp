@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dataflow.hpp"
+#include "taint.hpp"
 #include "tokutil.hpp"
 
 namespace collcheck {
@@ -56,14 +57,6 @@ std::string tag_key(const Toks& toks, std::pair<std::size_t, std::size_t> arg) {
     return "#" + toks[arg.first].text;
   }
   return {};
-}
-
-bool span_mentions(const Toks& toks, std::pair<std::size_t, std::size_t> arg,
-                   const std::string& name) {
-  for (std::size_t i = arg.first; i < arg.second; ++i) {
-    if (toks[i].kind == TokKind::kIdent && toks[i].text == name) return true;
-  }
-  return false;
 }
 
 std::string span_text(const Toks& toks,
@@ -140,7 +133,7 @@ bool peer_is_self(const P2pSite& s) {
 bool tag_diverges(const P2pSite& s, std::string& why) {
   const Toks& toks = s.unit->lexed.tokens;
   for (const std::string& v : s.fn->divergent_vars) {
-    if (span_mentions(toks, s.tag_arg, v)) {
+    if (span_mentions(toks, s.tag_arg.first, s.tag_arg.second, v)) {
       why = "uses '" + v + "', assigned under rank-dependent control flow";
       return true;
     }
@@ -150,7 +143,7 @@ bool tag_diverges(const P2pSite& s, std::string& why) {
   for (std::size_t i = s.tag_arg.first; i < s.tag_arg.second; ++i) {
     if (is_punct(toks[i], "?")) has_cond = true;
     if (toks[i].kind == TokKind::kIdent &&
-        rank_idents().count(toks[i].text) != 0 &&
+        rank_source_idents().count(toks[i].text) != 0 &&
         !(i + 1 < toks.size() && is_punct(toks[i + 1], "("))) {
       has_rank = true;
     }

@@ -11,6 +11,7 @@
 #include <set>
 
 #include "dataflow.hpp"
+#include "taint.hpp"
 #include "tokutil.hpp"
 
 namespace collcheck {
@@ -147,7 +148,7 @@ void check_unguarded(const SharedModel& m, std::vector<Finding>& findings) {
 // ---------------------------------------------------------------------------
 
 bool is_rankish(const std::string& s) {
-  if (rank_idents().contains(s)) return true;
+  if (rank_source_idents().contains(s)) return true;
   return s.size() >= 4 && s.rfind("rank") == s.size() - 4;
 }
 

@@ -18,23 +18,6 @@ namespace {
 
 using Kind = SchedNode::Kind;
 
-// Same registry the per-call rules use; collcheck and the runtime can
-// never disagree about what counts as a collective.
-const std::unordered_set<std::string>& sched_collective_names() {
-  static const std::unordered_set<std::string> kNames = {
-#define COLLREP_COLLECTIVE_OBS(Name, str) str,
-#define COLLREP_COLLECTIVE_ALIAS(str) str,
-#include "obs/collectives.def"
-  };
-  return kNames;
-}
-
-[[nodiscard]] bool sched_is_collective(const CallSite& c) {
-  if (c.method) return c.name == "barrier" || c.name == "win_create";
-  if (!sched_collective_names().contains(c.name)) return false;
-  return c.qualifier.empty() || c.qualifier == "simmpi";
-}
-
 [[nodiscard]] bool sched_is_p2p(const CallSite& c) {
   return c.name == "send_bytes" || c.name == "send_value" ||
          c.name == "recv_bytes" || c.name == "recv_value";
@@ -53,17 +36,9 @@ const std::unordered_set<std::string>& sched_collective_names() {
 
 struct BuildCtx {
   const Toks* toks = nullptr;
-  TaintCtx taint;
+  const RankTaint* taint = nullptr;  // computed once by analyze_function
   std::unordered_map<std::size_t, const CallSite*> call_at;
 };
-
-[[nodiscard]] bool span_mentions(const Toks& toks, std::size_t b,
-                                 std::size_t e, std::string_view word) {
-  for (std::size_t i = b; i < e && i < toks.size(); ++i) {
-    if (is_ident(toks[i], word)) return true;
-  }
-  return false;
-}
 
 SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e);
 
@@ -96,7 +71,7 @@ SchedNode walk_branch(BuildCtx& bc, std::size_t body_b, std::size_t e,
 }
 
 [[nodiscard]] bool inherited_divergent(const BuildCtx& bc, std::size_t kw) {
-  return kw < bc.taint.tainted_at.size() && bc.taint.tainted_at[kw] != 0;
+  return bc.taint->at_tok(kw);
 }
 
 // `if`/`else if`/`else` chain -> one kAlt with a branch per arm plus a
@@ -115,7 +90,7 @@ SchedNode walk_if_chain(BuildCtx& bc, std::size_t i, std::size_t e,
     std::size_t open = 0;
     std::size_t close = 0;
     if (!parse_header(toks, k, e, open, close)) break;
-    if (span_tainted(bc.taint, open + 1, close)) alt.divergent = true;
+    if (span_tainted(toks, *bc.taint, open + 1, close)) alt.divergent = true;
     std::size_t past = 0;
     std::size_t body_e = 0;
     alt.children.push_back(walk_branch(bc, close + 1, e, past, body_e));
@@ -162,8 +137,8 @@ SchedNode walk_switch(BuildCtx& bc, std::size_t i, std::size_t e,
   SchedNode alt;
   alt.kind = Kind::kAlt;
   alt.line = toks[i].line;
-  alt.divergent =
-      inherited_divergent(bc, i) || span_tainted(bc.taint, open + 1, close);
+  alt.divergent = inherited_divergent(bc, i) ||
+                  span_tainted(toks, *bc.taint, open + 1, close);
   const std::size_t body_b = close + 1;
   if (body_b >= e || !is_punct(toks[body_b], "{")) return {};
   const std::size_t body_e = std::min(match_bracket(toks, body_b), e);
@@ -294,7 +269,7 @@ SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e) {
       loop.kind = Kind::kLoop;
       loop.line = t.line;
       loop.divergent = inherited_divergent(bc, i) ||
-                       span_tainted(bc.taint, open + 1, close);
+                       span_tainted(toks, *bc.taint, open + 1, close);
       std::size_t past = 0;
       std::size_t body_e = 0;
       loop.children.push_back(walk_branch(bc, close + 1, e, past, body_e));
@@ -339,16 +314,15 @@ SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e) {
       const CallSite& c = *cit->second;
       SchedNode n;
       n.line = c.line;
-      if (sched_is_collective(c)) {
+      n.name = c.name;
+      n.rank_conditional = c.rank_conditional;
+      if (c.collective) {
         n.kind = Kind::kOp;
-        n.name = c.name;
       } else if (sched_is_p2p(c)) {
         n.kind = Kind::kOp;
-        n.name = c.name;
         n.p2p = true;
       } else {
         n.kind = Kind::kCall;
-        n.name = c.name;
       }
       seq.children.push_back(std::move(n));
       ++i;
@@ -369,17 +343,21 @@ struct FnSched {
   SchedNode root;
 };
 
-void gather_summary(const SchedNode& n, bool& has_op,
+// What a call to a name can execute.  Ordered, so the fixpoint only ever
+// raises a name's reach.
+enum class Reach : unsigned char { kNone, kP2p, kCollective };
+
+void gather_summary(const SchedNode& n, Reach& reach,
                     std::vector<std::string>& calls) {
   if (n.kind == Kind::kOp) {
-    has_op = true;
+    reach = std::max(reach, n.p2p ? Reach::kP2p : Reach::kCollective);
     return;
   }
   if (n.kind == Kind::kCall) {
     calls.push_back(n.name);
     return;
   }
-  for (const SchedNode& c : n.children) gather_summary(c, has_op, calls);
+  for (const SchedNode& c : n.children) gather_summary(c, reach, calls);
 }
 
 constexpr int kExpandDepth = 6;
@@ -389,18 +367,26 @@ struct Engine {
   // Name -> all definitions, sorted by (path, line); the lexically first
   // is the canonical one expansions inline (DESIGN.md §15).
   std::map<std::string, std::vector<const FnSched*>> by_name;
-  // Name-collapsed "reaches any op" fixpoint, the pruning predicate for
-  // call-node expansion.
-  std::unordered_map<std::string, bool> bearing;
+  // Name-collapsed op-bearing fixpoint.  Any op keeps a call node in
+  // schedules (is_bearing); only a collective makes a rank-conditional
+  // call a CC-COLL-DIV-CALL, since rank-guarded p2p is the normal
+  // root/leaf shape.
+  std::unordered_map<std::string, Reach> reach;
 
   std::unordered_map<std::string, std::vector<std::string>> ops_memo;
   std::set<std::string> ops_busy;
   std::map<std::pair<std::string, int>, std::string> render_memo;
   std::set<std::string> render_busy;
 
+  [[nodiscard]] Reach reach_of(const std::string& name) const {
+    const auto it = reach.find(name);
+    return it == reach.end() ? Reach::kNone : it->second;
+  }
   [[nodiscard]] bool is_bearing(const std::string& name) const {
-    const auto it = bearing.find(name);
-    return it != bearing.end() && it->second;
+    return reach_of(name) != Reach::kNone;
+  }
+  [[nodiscard]] bool reaches_collective(const std::string& name) const {
+    return reach_of(name) == Reach::kCollective;
   }
   [[nodiscard]] const FnSched* canon(const std::string& name) const {
     const auto it = by_name.find(name);
@@ -414,10 +400,7 @@ Engine build_engine(const std::vector<FileUnit>& files) {
     for (const FunctionInfo& f : u.functions) {
       BuildCtx bc;
       bc.toks = &u.lexed.tokens;
-      bc.taint.toks = bc.toks;
-      bc.taint.tainted_at.assign(bc.toks->size(), 0);
-      collect_tainted_vars(bc.taint, f.body_begin, f.body_end);
-      (void)walk_region(bc.taint, f.body_begin, f.body_end, false, false);
+      bc.taint = &f.taint;
       for (const CallSite& c : f.calls) bc.call_at.emplace(c.tok, &c);
       FnSched fs;
       fs.unit = &u;
@@ -436,30 +419,24 @@ Engine build_engine(const std::vector<FileUnit>& files) {
                        std::tie(b->unit->path, b->fn->line);
               });
   }
-  // Op-bearing fixpoint (any definition counts, like the CC-COLL-DIV-CALL
-  // bearing map).
+  // Op-bearing fixpoint over the name-collapsed call graph: a name reaches
+  // what any definition of it reaches.
   std::map<std::string, std::vector<std::string>> callees;
   for (const FnSched& fs : eng.fns) {
-    bool has_op = false;
-    std::vector<std::string> calls;
-    gather_summary(fs.root, has_op, calls);
-    auto& b = eng.bearing[fs.fn->name];
-    b = b || has_op;
-    auto& cs = callees[fs.fn->name];
-    cs.insert(cs.end(), calls.begin(), calls.end());
+    Reach& r = eng.reach[fs.fn->name];
+    gather_summary(fs.root, r, callees[fs.fn->name]);
   }
   bool changed = true;
   int rounds = 0;
   while (changed && ++rounds < 64) {
     changed = false;
-    for (auto& [name, cs] : callees) {
-      if (eng.bearing[name]) continue;
+    for (const auto& [name, cs] : callees) {
+      Reach& r = eng.reach[name];
       for (const std::string& c : cs) {
-        const auto it = eng.bearing.find(c);
-        if (it != eng.bearing.end() && it->second) {
-          eng.bearing[name] = true;
+        const Reach cr = eng.reach_of(c);
+        if (cr > r) {
+          r = cr;
           changed = true;
-          break;
         }
       }
     }
@@ -858,7 +835,20 @@ struct RuleVisitor {
         for (const SchedNode& c : n.children) visit(c);
         return;
       case Kind::kOp:
+        if (!n.p2p && n.rank_conditional) {
+          emit(kRuleCollDiv, n.line,
+               "collective '" + n.name +
+                   "' is reachable only under rank-dependent control flow; "
+                   "all ranks must execute the same collective sequence");
+        }
+        return;
       case Kind::kCall:
+        if (n.rank_conditional && eng->reaches_collective(n.name)) {
+          emit(kRuleCollDivCall, n.line,
+               "call to '" + n.name +
+                   "' (which transitively executes collectives) is "
+                   "reachable only under rank-dependent control flow");
+        }
         return;
     }
   }
@@ -914,7 +904,7 @@ void run_fiber_rules(const SharedModel& m, std::vector<Finding>& findings) {
         continue;
       }
       const bool blocking_comm =
-          sched_is_collective(c) ||
+          c.collective ||
           (c.method && (c.name == "recv_bytes" || c.name == "recv_value"));
       if (blocking_comm) {
         const std::vector<std::string>& held = ff.guards.held_at(c.tok);

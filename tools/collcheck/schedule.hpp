@@ -35,6 +35,7 @@ struct SchedNode {
   int line = 0;
   bool divergent = false;  // kAlt/kLoop: condition / trip count rank-tainted
   bool p2p = false;        // kOp: point-to-point rather than collective
+  bool rank_conditional = false;  // kOp/kCall: call site under rank taint
   std::vector<SchedNode> children;
   // kAlt: per-branch "contains an early return" flag (feeds the
   // skipped-tail variant of CC-SCHED-DIV).
@@ -43,9 +44,10 @@ struct SchedNode {
   std::vector<std::string> catch_types;
 };
 
-// CC-SCHED-DIV / CC-SCHED-ORDER / CC-SCHED-LOOP / CC-SCHED-UNWIND over
-// every scanned function, inter-procedural through the op-bearing
-// fixpoint.
+// CC-COLL-DIV / CC-COLL-DIV-CALL (a rank-conditional collective, or call
+// into a collective-bearing function) and CC-SCHED-DIV / CC-SCHED-ORDER /
+// CC-SCHED-LOOP / CC-SCHED-UNWIND over every scanned function,
+// inter-procedural through the op-bearing fixpoint.
 void run_schedule_rules(const std::vector<FileUnit>& files,
                         std::vector<Finding>& findings);
 

@@ -13,19 +13,21 @@ const std::unordered_set<std::string>& rank_source_idents() {
   return kNames;
 }
 
-bool span_tainted(const TaintCtx& ctx, std::size_t b, std::size_t e) {
-  const Toks& toks = *ctx.toks;
+bool span_tainted(const Toks& toks, const RankTaint& taint, std::size_t b,
+                  std::size_t e) {
   for (std::size_t i = b; i < e && i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind != TokKind::kIdent) continue;
     if (rank_source_idents().contains(t.text)) return true;
-    if (ctx.tainted_vars.contains(t.text)) return true;
+    if (taint.vars.contains(t.text)) return true;
   }
   return false;
 }
 
-void collect_tainted_vars(TaintCtx& ctx, std::size_t b, std::size_t e) {
-  const Toks& toks = *ctx.toks;
+namespace {
+
+void collect_tainted_vars(const Toks& toks, RankTaint& taint, std::size_t b,
+                          std::size_t e) {
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = b; i + 1 < e; ++i) {
       if (toks[i].kind != TokKind::kIdent || is_cpp_keyword(toks[i].text)) {
@@ -38,36 +40,28 @@ void collect_tainted_vars(TaintCtx& ctx, std::size_t b, std::size_t e) {
         continue;
       }
       const std::size_t end = stmt_end(toks, i + 2, e);
-      if (span_tainted(ctx, i + 2, end)) ctx.tainted_vars.insert(toks[i].text);
+      if (span_tainted(toks, taint, i + 2, end)) {
+        taint.vars.insert(toks[i].text);
+      }
     }
   }
 }
 
-namespace {
+struct WalkExit {
+  bool ret = false;  // rank-conditional return/throw seen
+  bool brk = false;  // rank-conditional break/continue seen
+};
 
-[[nodiscard]] bool span_has_ident(const Toks& toks, std::size_t b,
-                                  std::size_t e, std::string_view a,
-                                  std::string_view c) {
-  for (std::size_t i = b; i < e && i < toks.size(); ++i) {
-    if (toks[i].kind == TokKind::kIdent && (toks[i].text == a ||
-                                            toks[i].text == c)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-WalkExit walk_region(TaintCtx& ctx, std::size_t b, std::size_t e,
-                     bool tainted, bool is_loop_body) {
-  const Toks& toks = *ctx.toks;
+// Walk [b, e) marking rank-conditional tokens in taint.at.  `tainted` is
+// the inherited divergence of this region; `is_loop_body` scopes
+// break/continue escalation.
+WalkExit walk_region(const Toks& toks, RankTaint& taint, std::size_t b,
+                     std::size_t e, bool tainted, bool is_loop_body) {
   WalkExit out;
   std::size_t i = b;
-  bool last_cond_taint = false;  // taint of the most recent if-condition
   while (i < e) {
     const Token& t = toks[i];
-    if (tainted && i < ctx.tainted_at.size()) ctx.tainted_at[i] = 1;
+    if (tainted) taint.at[i - taint.base] = 1;
 
     const bool is_if = is_ident(t, "if");
     const bool is_loop = is_ident(t, "while") || is_ident(t, "for");
@@ -87,20 +81,21 @@ WalkExit walk_region(TaintCtx& ctx, std::size_t b, std::size_t e,
         continue;
       }
       const bool cond_taint =
-          tainted || span_tainted(ctx, open + 1, close);
-      if (is_if) last_cond_taint = cond_taint;
-      // Mark the header tokens themselves with the inherited taint only.
+          tainted || span_tainted(toks, taint, open + 1, close);
+      // The header tokens stay unmarked: a loop counter declared in a
+      // rank-guarded header is not a rank-divergent value.
       std::size_t body_start = close + 1;
       std::size_t body_close;  // one past the region
       WalkExit sub;
       if (body_start < e && is_punct(toks[body_start], "{")) {
         body_close = std::min(match_bracket(toks, body_start), e);
-        sub = walk_region(ctx, body_start + 1, body_close, cond_taint,
+        sub = walk_region(toks, taint, body_start + 1, body_close, cond_taint,
                           is_loop);
         i = body_close + 1;
       } else {
         body_close = stmt_end(toks, body_start, e);
-        sub = walk_region(ctx, body_start, body_close, cond_taint, is_loop);
+        sub = walk_region(toks, taint, body_start, body_close, cond_taint,
+                          is_loop);
         i = body_close + 1;
       }
       // Early-exit escalation: only when the condition itself introduced
@@ -109,11 +104,11 @@ WalkExit walk_region(TaintCtx& ctx, std::size_t b, std::size_t e,
       // the throwing rank and the collective sequence question is moot
       // (rank-guarded invariant throws are common and benign).
       if (cond_taint && !tainted) {
-        if (span_has_ident(toks, body_start, body_close, "return", "return")) {
+        if (span_mentions(toks, body_start, body_close, "return")) {
           out.ret = true;
         }
-        if (span_has_ident(toks, body_start, body_close, "break",
-                           "continue")) {
+        if (span_mentions(toks, body_start, body_close, "break") ||
+            span_mentions(toks, body_start, body_close, "continue")) {
           out.brk = true;
         }
       }
@@ -126,7 +121,7 @@ WalkExit walk_region(TaintCtx& ctx, std::size_t b, std::size_t e,
         WalkExit esub;
         if (eb < e && is_punct(toks[eb], "{")) {
           const std::size_t ec = std::min(match_bracket(toks, eb), e);
-          esub = walk_region(ctx, eb + 1, ec, cond_taint || tainted,
+          esub = walk_region(toks, taint, eb + 1, ec, cond_taint || tainted,
                              is_loop_body);
           i = ec + 1;
         } else if (eb < e && is_ident(toks[eb], "if")) {
@@ -135,7 +130,7 @@ WalkExit walk_region(TaintCtx& ctx, std::size_t b, std::size_t e,
           continue;
         } else {
           const std::size_t ec = stmt_end(toks, eb, e);
-          esub = walk_region(ctx, eb, ec, cond_taint || tainted,
+          esub = walk_region(toks, taint, eb, ec, cond_taint || tainted,
                              is_loop_body);
           i = ec + 1;
         }
@@ -150,7 +145,7 @@ WalkExit walk_region(TaintCtx& ctx, std::size_t b, std::size_t e,
 
     if (is_punct(t, "{")) {
       const std::size_t close = std::min(match_bracket(toks, i), e);
-      const WalkExit sub = walk_region(ctx, i + 1, close, tainted,
+      const WalkExit sub = walk_region(toks, taint, i + 1, close, tainted,
                                        is_loop_body);
       if (sub.ret) out.ret = true;
       if (sub.brk) out.brk = true;
@@ -160,8 +155,20 @@ WalkExit walk_region(TaintCtx& ctx, std::size_t b, std::size_t e,
     }
     ++i;
   }
-  (void)last_cond_taint;
   return out;
+}
+
+}  // namespace
+
+RankTaint rank_taint(const Toks& toks, std::size_t b, std::size_t e) {
+  RankTaint taint;
+  e = std::min(e, toks.size());
+  if (b >= e) return taint;
+  taint.base = b;
+  taint.at.assign(e - b, 0);
+  collect_tainted_vars(toks, taint, b, e);
+  (void)walk_region(toks, taint, b, e, false, false);
+  return taint;
 }
 
 }  // namespace collcheck

@@ -1,14 +1,15 @@
-// collcheck rank-taint engine, shared by the per-call divergence rules
-// (analyzer.cpp) and the schedule-automaton pass (schedule.cpp): which
-// variables carry rank-derived values, and which body tokens sit under
-// rank-dependent control flow (including early-return escalation).
+// collcheck rank-taint engine: which variables carry rank-derived values,
+// and which body tokens sit under rank-dependent control flow (including
+// early-return escalation).  analyze_function runs it once per function
+// and stores the result in FunctionInfo::taint for the schedule pass
+// (schedule.cpp).
 #pragma once
 
 #include <cstddef>
-#include <string_view>
+#include <string>
 #include <unordered_set>
-#include <vector>
 
+#include "model.hpp"
 #include "tokutil.hpp"
 
 namespace collcheck {
@@ -16,35 +17,18 @@ namespace collcheck {
 // Identifiers whose value names "which rank am I" directly.
 [[nodiscard]] const std::unordered_set<std::string>& rank_source_idents();
 
-struct TaintCtx {
-  const Toks* toks = nullptr;
-  std::unordered_set<std::string> tainted_vars;
-  // Parallel to toks, body span only.  Byte-valued rather than
-  // vector<bool>: the bit-proxy specialization trips GCC's
-  // -Wnull-dereference inside libstdc++ when assign() is inlined.
-  std::vector<unsigned char> tainted_at;
-};
-
 // Does the token span [b, e) mention a rank source or a tainted variable?
-[[nodiscard]] bool span_tainted(const TaintCtx& ctx, std::size_t b,
-                                std::size_t e);
+[[nodiscard]] bool span_tainted(const Toks& toks, const RankTaint& taint,
+                                std::size_t b, std::size_t e);
 
-// Collect variables assigned from rank-derived expressions into
-// ctx.tainted_vars.  Two passes pick up simple transitive chains
-// (a = comm.rank(); b = a + 1;).
-void collect_tainted_vars(TaintCtx& ctx, std::size_t b, std::size_t e);
-
-struct WalkExit {
-  bool ret = false;  // rank-conditional return/throw seen
-  bool brk = false;  // rank-conditional break/continue seen
-};
-
-// Walk [b, e) marking rank-conditional tokens in ctx.tainted_at.
-// `tainted` is the inherited divergence of this region; `is_loop_body`
-// scopes break/continue escalation.  A rank-conditional region that exits
-// early (return) makes every subsequent statement in the enclosing scopes
-// divergent too (the classic `if (rank != 0) return; bcast(...)` bug).
-WalkExit walk_region(TaintCtx& ctx, std::size_t b, std::size_t e,
-                     bool tainted, bool is_loop_body);
+// Taint of the function body [b, e).  Variables assigned from
+// rank-derived expressions are collected first (two passes pick up simple
+// transitive chains: a = comm.rank(); b = a + 1;).  Then every token under
+// a rank-dependent condition is marked, and a rank-conditional region that
+// exits early (return) makes every subsequent statement in the enclosing
+// scopes divergent too (the classic `if (rank != 0) return; bcast(...)`
+// bug).
+[[nodiscard]] RankTaint rank_taint(const Toks& toks, std::size_t b,
+                                   std::size_t e);
 
 }  // namespace collcheck

@@ -1,6 +1,7 @@
-// collcheck token utilities shared by the analyzer and the dataflow
-// layer: bracket matching, statement ends, and a best-effort template
-// argument skipper (so `recv_value<T>(...)` reads as a call).
+// collcheck token utilities shared by the analyzer, the taint engine, the
+// dataflow layer and the rule passes: bracket matching, identifier search,
+// statement ends, and a best-effort template argument skipper (so
+// `recv_value<T>(...)` reads as a call).
 #pragma once
 
 #include <algorithm>
@@ -35,6 +36,15 @@ inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
     else if (is_punct(toks[i], c) && --depth == 0) return i;
   }
   return toks.size();
+}
+
+// Does the token span [b, e) contain the identifier `word`?
+[[nodiscard]] inline bool span_mentions(const Toks& toks, std::size_t b,
+                                        std::size_t e, std::string_view word) {
+  for (std::size_t i = b; i < e && i < toks.size(); ++i) {
+    if (is_ident(toks[i], word)) return true;
+  }
+  return false;
 }
 
 // Statement end: next ";" at bracket depth 0 from `i`.
